@@ -74,9 +74,10 @@ class _Handler(BaseHTTPRequestHandler):
             if not capability or not user:
                 return self._send(400, {"error": "capability and user are required"})
             tick = doc.get("tick")
-            record = self.hub.submit_request(
-                str(capability), str(user), int(tick) if tick is not None else None
-            )
+            if tick is not None and type(tick) is not int:  # bool is an int subclass
+                error = f"tick must be a JSON integer, got {json.dumps(tick)}"
+                return self._send(400, {"error": error})
+            record = self.hub.submit_request(str(capability), str(user), tick)
             return self._send(200, record)
         if self.path == "/queries":
             try:

@@ -259,8 +259,8 @@ class ObjectRegistry:
         with self._lock:
             if vo.id in self._vos or vo.id in self._cvos:
                 raise DuplicateId(f"object id {vo.id} already registered")
-            if Triple(vo.id, vocab.TYPE, VO_CLASS) not in self.store.snapshot(
-                [vo.description_graph]
+            if not self.store.contains(
+                vo.description_graph, Triple(vo.id, vocab.TYPE, VO_CLASS)
             ):
                 raise MissingDescription(
                     f"description graph {vo.description_graph} lacks the type triple"
@@ -276,8 +276,8 @@ class ObjectRegistry:
             for member in cvo.members:
                 if member not in self._vos:
                     raise UnknownSource(f"CVO member {member} is not a registered VO")
-            if Triple(cvo.id, vocab.TYPE, CVO_CLASS) not in self.store.snapshot(
-                [cvo.description_graph]
+            if not self.store.contains(
+                cvo.description_graph, Triple(cvo.id, vocab.TYPE, CVO_CLASS)
             ):
                 raise MissingDescription(
                     f"description graph {cvo.description_graph} lacks the type triple"

@@ -254,12 +254,13 @@ class ReasoningService:
     # --- plumbing -------------------------------------------------------
 
     def _user_vos(self, user: Iri):
-        vos = []
-        for vo in self.registry.vos():
-            desc = self.store.snapshot([vo.description_graph])
-            if Triple(vo.id, vocab.MONITORS, user) in desc:
-                vos.append(vo)
-        return vos
+        return [
+            vo
+            for vo in self.registry.vos()
+            if self.store.contains(
+                vo.description_graph, Triple(vo.id, vocab.MONITORS, user)
+            )
+        ]
 
     def _observations(self, user: Iri, prop: Iri, start: int, end: int):
         out: list[Observation] = []
@@ -288,10 +289,13 @@ class ReasoningService:
             if not facts:
                 self._clear_user_facts(out, user, fact_predicate)
                 return []
-            self.store.insert_all(scratch, facts)
-            prog = RuleProgram(name, self.programs[name], frozenset([scratch]), out)
-            self._clear_user_facts(out, user, fact_predicate)
-            result = infer_fixpoint(self.store, prog)
+            try:
+                self.store.insert_all(scratch, facts)
+                prog = RuleProgram(name, self.programs[name], frozenset([scratch]), out)
+                self._clear_user_facts(out, user, fact_predicate)
+                result = infer_fixpoint(self.store, prog)
+            finally:
+                self.store.clear_graph(scratch)
             statuses = {
                 t.object
                 for t in result.derived
@@ -306,7 +310,6 @@ class ReasoningService:
                 if name == "physio-status":
                     raise AmbiguousStatus(f"multiple statuses derived: {names}")
                 raise AmbiguousDerivation(f"multiple {name} facts derived: {names}")
-            self.store.clear_graph(scratch)
             return result.derived
 
     def _clear_user_facts(self, graph: Iri, user: Iri, predicate: Iri) -> None:

@@ -401,37 +401,50 @@ def binding_set_to_json(bs: BindingSet) -> dict:
 # --- matching and evaluation ------------------------------------------------
 
 class TripleIndex:
-    """Immutable snapshot of a triple collection with cheap lookup.
+    """Immutable index of distinct triples by predicate and by subject.
 
-    Candidate lists preserve first-insertion order so downstream iteration
-    is deterministic regardless of hash seeds.
+    The store caches one per named graph and shares it among readers, so
+    an index is never mutated once built.  Candidate lists keep the order
+    the triples came in, so iteration is deterministic regardless of hash
+    seeds.  A `union` repeats a triple that several of its graphs hold.
     """
 
     def __init__(self, triples: Iterable[Triple]):
-        ordered: dict[Triple, None] = {}
-        for t in triples:
-            ordered.setdefault(t)
-        self.triples: list[Triple] = list(ordered)
-        self._set = set(self.triples)
+        self.triples: list[Triple] = list(triples)
         self.by_predicate: dict[Iri, list[Triple]] = {}
         self.by_subject: dict[Iri, list[Triple]] = {}
         for t in self.triples:
             self.by_predicate.setdefault(t.predicate, []).append(t)
             self.by_subject.setdefault(t.subject, []).append(t)
 
+    @classmethod
+    def union(cls, parts: Sequence["TripleIndex"]) -> "TripleIndex":
+        """The parts' triples in order, by concatenating their lists."""
+        index = cls.__new__(cls)
+        index.triples = [t for part in parts for t in part.triples]
+        index.by_predicate = _concat([part.by_predicate for part in parts])
+        index.by_subject = _concat([part.by_subject for part in parts])
+        return index
+
     def __len__(self) -> int:
         return len(self.triples)
 
     def __contains__(self, t: Triple) -> bool:
-        return t in self._set
+        return t in self.by_subject.get(t.subject, ())
 
     def candidates(self, pattern: TriplePattern, binding: Mapping[Variable, Term]) -> list[Triple]:
+        """The triples pattern can match: the shorter of the bound subject's
+        and the bound predicate's lists, or all triples."""
         s = _resolve(pattern.subject, binding)
         p = _resolve(pattern.predicate, binding)
+        if isinstance(s, Iri):
+            by_s = self.by_subject.get(s, [])
+            if isinstance(p, Iri):
+                by_p = self.by_predicate.get(p, [])
+                return by_p if len(by_p) < len(by_s) else by_s
+            return by_s
         if isinstance(p, Iri):
             return self.by_predicate.get(p, [])
-        if isinstance(s, Iri):
-            return self.by_subject.get(s, [])
         return self.triples
 
     def terms(self) -> list[Term]:
@@ -442,6 +455,15 @@ class TripleIndex:
             seen.setdefault(t.predicate)
             seen.setdefault(t.object)
         return list(seen)
+
+
+def _concat(maps: Sequence[dict[Iri, list[Triple]]]) -> dict[Iri, list[Triple]]:
+    out: dict[Iri, list[Triple]] = {}
+    for m in maps:
+        for key, ts in m.items():
+            have = out.get(key)
+            out[key] = ts if have is None else have + ts
+    return out
 
 
 def _resolve(pt: PatternTerm, binding: Mapping[Variable, Term]):
@@ -510,13 +532,17 @@ def solve_query(index: TripleIndex, q: Query) -> BindingSet:
 class GraphStore:
     """Named graphs of triples with set semantics.
 
-    All mutation happens under one lock; queries and matches work off an
-    immutable snapshot of the scoped graphs, so readers never observe a
-    half-applied update.
+    All mutation happens under one lock.  The store keeps one `TripleIndex`
+    per named graph, built on the first snapshot that covers the graph and
+    dropped by any write to it, so a graph is re-indexed only after it
+    changed.  Readers share the cached indexes, which are never mutated:
+    a snapshot taken before a write keeps what it held, and readers never
+    observe a half-applied update.
     """
 
     def __init__(self):
         self._graphs: dict[Iri, dict[Triple, None]] = {}
+        self._indexes: dict[Iri, TripleIndex] = {}
         self._lock = threading.RLock()
 
     def insert(self, graph: Iri, t: Triple) -> bool:
@@ -526,6 +552,7 @@ class GraphStore:
             if t in g:
                 return False
             g[t] = None
+            self._indexes.pop(graph, None)
             return True
 
     def remove(self, graph: Iri, t: Triple) -> bool:
@@ -534,6 +561,7 @@ class GraphStore:
             if g is None or t not in g:
                 return False
             del g[t]
+            self._indexes.pop(graph, None)
             return True
 
     def insert_all(self, graph: Iri, triples: Iterable[Triple]) -> int:
@@ -548,6 +576,7 @@ class GraphStore:
     def clear_graph(self, graph: Iri) -> None:
         with self._lock:
             self._graphs.pop(graph, None)
+            self._indexes.pop(graph, None)
 
     def graphs(self) -> list[Iri]:
         with self._lock:
@@ -561,18 +590,34 @@ class GraphStore:
         with self._lock:
             return len(self._graphs.get(graph, {}))
 
+    def contains(self, graph: Iri, t: Triple) -> bool:
+        with self._lock:
+            return t in self._graphs.get(graph, {})
+
     def triples(self, graph: Iri) -> list[Triple]:
         with self._lock:
             return list(self._graphs.get(graph, {}))
 
+    def _index(self, graph: Iri) -> TripleIndex:
+        """The cached index of one graph; call with the lock held.  Names
+        of absent graphs are not cached, so queries naming unknown graphs
+        cannot grow the cache."""
+        index = self._indexes.get(graph)
+        if index is None:
+            g = self._graphs.get(graph)
+            if g is None:
+                return TripleIndex(())
+            index = self._indexes[graph] = TripleIndex(g)
+        return index
+
     def snapshot(self, scope: Iterable[Iri] | None = None) -> TripleIndex:
-        """Consistent snapshot of the scoped graphs (all graphs when empty)."""
+        """Consistent snapshot of the scoped graphs (all graphs when empty):
+        a graph's cached index itself, or the union of several in graph
+        name order."""
         with self._lock:
             names = sorted(scope) if scope else sorted(self._graphs)
-            triples: list[Triple] = []
-            for name in names:
-                triples.extend(self._graphs.get(name, {}))
-        return TripleIndex(triples)
+            parts = [self._index(name) for name in names]
+        return parts[0] if len(parts) == 1 else TripleIndex.union(parts)
 
     def match(self, scope: Iterable[Iri] | None, pattern: TriplePattern) -> BindingSet:
         """One row per scoped triple unifying with the pattern."""

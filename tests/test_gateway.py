@@ -102,6 +102,25 @@ def test_submit_request_requires_fields(served):
     assert "required" in doc["error"]
 
 
+@pytest.mark.parametrize("tick", ["12", 12.0, 12.5, True])
+def test_submit_request_rejects_non_integer_tick(served, tick):
+    _, base = served
+    status, doc = _post(
+        base + "/requests",
+        {"capability": "reason.activity", "user": "alice", "tick": tick},
+    )
+    assert status == 400
+    assert "tick must be a JSON integer" in doc["error"]
+    # the connection was answered, not dropped, and the server still serves
+    status, record = _post(
+        base + "/requests",
+        {"capability": "reason.activity", "user": "alice", "tick": 12},
+    )
+    assert status == 200
+    assert record["tick"] == 12
+    assert record["outcome"] == "completed"
+
+
 def test_query_route(served):
     _, base = served
     status, doc = _post(

@@ -334,6 +334,7 @@ def test_ambiguous_activity_surfaces_at_runtime():
         service.run_activity(USER, (BASE_TS - 60_000, BASE_TS + 60_000))
     out = service.store.triples(service.output_graph("activity"))
     assert not [t for t in out if t.predicate == vocab.CURRENT_ACTIVITY]
+    assert not [g for g in store.graphs() if "scratch:" in g.value]
 
 
 # --- query generation -------------------------------------------------------

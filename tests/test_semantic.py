@@ -235,6 +235,18 @@ def test_save_load_round_trip(tmp_path):
     assert other.graphs() == store.graphs()
 
 
+def _check_against_oracle(store, graphs, q, seed):
+    try:
+        expect = oracle_evaluate(graphs, q)
+    except ComparisonTypeError:
+        with pytest.raises(ComparisonTypeError):
+            store.evaluate(q)
+        return
+    got = store.evaluate(q)
+    assert got.variables == expect.variables
+    assert got.rows == expect.rows, f"seed={seed}"
+
+
 def _run_case(seed: int):
     rng = random.Random(seed)
     graphs, q = random_store_and_query(rng)
@@ -242,18 +254,7 @@ def _run_case(seed: int):
     for g, triples in graphs.items():
         for t in triples:
             store.insert(g, t)
-    try:
-        expect = oracle_evaluate(graphs, q)
-        expect_err = None
-    except ComparisonTypeError:
-        expect, expect_err = None, ComparisonTypeError
-    if expect_err:
-        with pytest.raises(ComparisonTypeError):
-            store.evaluate(q)
-    else:
-        got = store.evaluate(q)
-        assert got.variables == expect.variables
-        assert got.rows == expect.rows, f"seed={seed}"
+    _check_against_oracle(store, graphs, q, seed)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -279,3 +280,82 @@ def test_result_order_stable_under_insertion_order():
             assert other.evaluate(q).rows == base.rows
     except ComparisonTypeError:
         pass
+
+
+# --- cached per-graph indexes ------------------------------------------------
+
+G1 = Iri("urn:t:graph:g1")
+G2 = Iri("urn:t:graph:g2")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cached_indexes_follow_writes(seed):
+    """Every write between evaluations is seen: per-graph indexes cached by
+    one evaluation are dropped by the next insert, remove or clear."""
+    rng = random.Random(seed)
+    pool, _ = random_store_and_query(rng)
+    triples = [t for ts in pool.values() for t in ts]
+    store = GraphStore()
+    model: dict[Iri, dict[Triple, None]] = {}
+    for _ in range(40):
+        g = rng.choice((G1, G2))
+        op = rng.random()
+        if op < 0.5:
+            t = rng.choice(triples)
+            store.insert(g, t)
+            model.setdefault(g, {})[t] = None
+        elif op < 0.9:
+            t = rng.choice(list(model.get(g, ())) or triples)
+            store.remove(g, t)
+            model.get(g, {}).pop(t, None)
+        else:
+            store.clear_graph(g)
+            model.pop(g, None)
+        for name in (G1, G2):
+            assert store.snapshot([name]).triples == list(model.get(name, ()))
+        _, q = random_store_and_query(rng)
+        graphs = {name: list(ts) for name, ts in model.items()}
+        for scope in ((), (G1,), (G1, G2)):
+            scoped = Query(q.select, q.where, q.filters, scope)
+            _check_against_oracle(store, graphs, scoped, seed)
+
+
+def test_snapshot_unchanged_by_later_writes():
+    store = GraphStore()
+    a, b, c = (Triple(S, P, integer(i)) for i in range(3))
+    store.insert(G1, a)
+    store.insert(G1, b)
+    store.insert(G2, c)
+    one = store.snapshot([G1])
+    both = store.snapshot([G1, G2])
+    assert store.snapshot([G1]) is one, "an unchanged graph is not re-indexed"
+    store.remove(G1, a)
+    assert store.snapshot([G1]).triples == [b]
+    store.insert(G1, c)
+    assert store.snapshot([G1]).triples == [b, c]
+    store.clear_graph(G2)
+    assert store.snapshot([G2]).triples == []
+    assert len(one) == 2 and a in one and b in one and c not in one
+    assert len(both) == 3 and all(t in both for t in (a, b, c))
+    assert store.snapshot([G1, G2]).triples == [b, c]
+
+
+def test_bound_subject_narrows_candidates():
+    """The README join: with ?record bound, its heart-rate pattern looks at
+    that record's triples only, not at every heart-rate triple."""
+    record_class = Iri("urn:t:class:VitalsRecord")
+    type_, hr = Iri("urn:t:type"), Iri("urn:t:heartRate")
+    records = [Iri(f"urn:t:record:{i}") for i in range(50)]
+    store = GraphStore()
+    for i, r in enumerate(records):
+        store.insert(G, Triple(r, type_, record_class))
+        store.insert(G, Triple(r, hr, integer(60 + i)))
+    index = store.snapshot([G])
+    record = Variable("record")
+    pattern = TriplePattern(record, hr, Variable("hr"))
+    got = index.candidates(pattern, {record: records[7]})
+    assert got == [
+        Triple(records[7], type_, record_class),
+        Triple(records[7], hr, integer(67)),
+    ]
+    assert len(index.candidates(pattern, {})) == 50
