@@ -182,20 +182,12 @@ class AnalyticsService:
             self._models[analyzer] = model
         return model
 
-    def set_model(self, analyzer: str, model: TrainedModel) -> None:
-        with self._lock:
-            self._models[analyzer] = model
-
     def model(self, analyzer: str) -> TrainedModel:
         with self._lock:
             m = self._models.get(analyzer)
         if m is None:
             raise ModelUnavailable(f"no trained model for analyzer {analyzer!r}")
         return m
-
-    def has_model(self, analyzer: str) -> bool:
-        with self._lock:
-            return analyzer in self._models
 
     def predict_for(self, analyzer: str, x: FeatureVector) -> Prediction:
         model = self.model(analyzer)

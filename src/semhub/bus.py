@@ -13,12 +13,7 @@ to ``$dead/<topic>`` when the retry budget runs out.
 
 from __future__ import annotations
 
-import base64
-import json
 import random
-import socket
-import socketserver
-import struct
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -327,7 +322,7 @@ class Broker:
         return acked
 
     def ack(self, sid: int, message_id: int) -> bool:
-        """Manual ack from a subscriber (TCP mode)."""
+        """Manual ack from a subscriber registered with ``auto_ack=False``."""
         with self._lock:
             sub = self._subscriptions.get(sid)
             if not sub or not sub.outbox:
@@ -379,126 +374,3 @@ class Broker:
     def pending_count(self) -> int:
         with self._lock:
             return sum(len(s.outbox) for s in self._subscriptions.values())
-
-
-# --- TCP front --------------------------------------------------------------
-
-
-def write_frame(sock: socket.socket, doc: dict) -> None:
-    body = json.dumps(doc, sort_keys=True).encode("utf-8")
-    sock.sendall(struct.pack(">I", len(body)) + body)
-
-
-def read_frame(sock: socket.socket) -> dict | None:
-    header = _read_exact(sock, 4)
-    if header is None:
-        return None
-    (length,) = struct.unpack(">I", header)
-    body = _read_exact(sock, length)
-    if body is None:
-        return None
-    return json.loads(body.decode("utf-8"))
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    chunks = b""
-    while len(chunks) < n:
-        chunk = sock.recv(n - len(chunks))
-        if not chunk:
-            return None
-        chunks += chunk
-    return chunks
-
-
-class _BusHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        broker: Broker = self.server.broker  # type: ignore[attr-defined]
-        client = f"tcp:{self.client_address[0]}:{self.client_address[1]}"
-        send_lock = threading.Lock()
-        my_sids = []
-
-        def deliver(d: Delivery):
-            with send_lock:
-                write_frame(
-                    self.request,
-                    {
-                        "op": "msg",
-                        "sid": d.subscription_id,
-                        "topic": str(d.topic),
-                        "payload": base64.b64encode(d.payload).decode("ascii"),
-                        "qos": d.qos,
-                        "mid": d.message_id,
-                        "dup": d.duplicate,
-                    },
-                )
-
-        try:
-            while True:
-                frame = read_frame(self.request)
-                if frame is None:
-                    break
-                op = frame.get("op")
-                if op == "sub":
-                    try:
-                        sid = broker.subscribe(
-                            client,
-                            frame["filter"],
-                            int(frame.get("qos", 0)),
-                            callback=deliver,
-                            auto_ack=False,
-                        )
-                        my_sids.append(sid)
-                        reply = {"op": "suback", "sid": sid}
-                    except InvalidFilter as exc:
-                        reply = {"op": "error", "reason": str(exc)}
-                elif op == "pub":
-                    try:
-                        payload = base64.b64decode(frame.get("payload", ""))
-                        report = broker.publish(
-                            Message(
-                                Topic.parse(frame["topic"]),
-                                payload,
-                                int(frame.get("qos", 0)),
-                            ),
-                            publisher=client,
-                        )
-                        reply = {
-                            "op": "puback",
-                            "matched": report.matched_subscribers,
-                            "acked": report.acked,
-                        }
-                    except (InvalidFilter, BrokerDown) as exc:
-                        reply = {"op": "error", "reason": str(exc)}
-                elif op == "ack":
-                    ok = broker.ack(int(frame["sid"]), int(frame["mid"]))
-                    reply = {"op": "ackack", "ok": ok}
-                elif op == "unsub":
-                    ok = broker.unsubscribe(int(frame["sid"]))
-                    reply = {"op": "unsuback", "ok": ok}
-                elif op == "ping":
-                    reply = {"op": "pong"}
-                else:
-                    reply = {"op": "error", "reason": f"unknown op {op!r}"}
-                with send_lock:
-                    write_frame(self.request, reply)
-        finally:
-            for sid in my_sids:
-                broker.unsubscribe(sid)
-
-
-class BusServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = 0):
-        super().__init__((host, port), _BusHandler)
-        self.broker = broker
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    def start(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread

@@ -20,8 +20,10 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import HubError
 from .gateway import GatewayServer
-from .hub import Hub, load_scenario
+from .hub import Hub, ScenarioConfig, load_scenario
+from .semantic import query_from_json
 
 
 def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -72,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_hub(args: argparse.Namespace) -> Hub:
-    cfg = load_scenario(args.config)
+def _build_hub(cfg: ScenarioConfig, args: argparse.Namespace) -> Hub:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -91,8 +92,20 @@ def _emit(doc) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    hub = _build_hub(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    # Reject unreadable or malformed input before the scenario runs.
+    try:
+        cfg = load_scenario(args.config)
+    except (OSError, HubError) as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    if args.command == "query":
+        try:
+            query_doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
+            query_from_json(query_doc)
+        except (OSError, ValueError, HubError) as exc:
+            parser.exit(2, f"{parser.prog}: error: query file {args.file}: {exc}\n")
+    hub = _build_hub(cfg, args)
     try:
         if args.command == "run":
             out = hub.report_json()
@@ -101,8 +114,11 @@ def main(argv=None) -> int:
                 Path(args.report).write_text(out, encoding="utf-8")
             return 0
         if args.command == "query":
-            doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
-            _emit(hub.run_query(doc))
+            try:
+                _emit(hub.run_query(query_doc))
+            except HubError as exc:  # e.g. a filter comparing an IRI with a literal
+                sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+                return 1
             return 0
         if args.command == "objects":
             if args.action == "list":

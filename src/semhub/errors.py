@@ -23,6 +23,10 @@ class ComparisonTypeError(HubError):
     """Filter comparison between incompatible term kinds or datatypes."""
 
 
+class MalformedQuery(HubError):
+    """A query document whose fields do not have the expected JSON shape."""
+
+
 # --- object layer -----------------------------------------------------------
 
 class DuplicateId(HubError):
@@ -57,10 +61,6 @@ class DatatypeMismatch(HubError):
 
 
 class TableMismatch(HubError):
-    pass
-
-
-class ValidationFailed(HubError):
     pass
 
 
@@ -158,7 +158,5 @@ class UnsatisfiableRequirement(HubError):
     pass
 
 
-class ScenarioAbort(HubError):
-    def __init__(self, component: str, detail: str):
-        super().__init__(f"{component}: {detail}")
-        self.component = component
+class MalformedScenario(HubError):
+    """A scenario file that is not JSON or does not have the scenario's shape."""

@@ -40,6 +40,7 @@ from .analytics import (
 )
 from .bus import Broker, Delivery
 from .errors import (
+    MalformedScenario,
     StaleSequence,
     UnknownCapability,
     UnknownSource,
@@ -70,6 +71,7 @@ from .semantic import (
     integer,
     query_from_json,
     serialize_term,
+    serialize_triple,
 )
 from .services import Repository, RequestLog, ServiceRequest
 from .simulate import (
@@ -116,8 +118,6 @@ CAPABILITY_CLASSES: dict[str, tuple[str, ...]] = {
 CENTRAL_VITALS_GRAPH = vocab.graph_iri("central:vitals")
 
 MINUTE_MS = 60_000
-
-RESOLUTION_PATHS = ("single-domain", "mashup-generated", "mashup-cache-hit")
 
 
 # --- scenario configuration -------------------------------------------------
@@ -179,8 +179,15 @@ class ScenarioConfig:
 
 
 def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
+    """Read a scenario file; content that is not a valid scenario raises
+    MalformedScenario, while an unreadable file raises OSError."""
     p = Path(path) if path else DATA_DIR / "scenario.json"
-    return ScenarioConfig.from_json(json.loads(p.read_text(encoding="utf-8")))
+    try:
+        return ScenarioConfig.from_json(json.loads(p.read_text(encoding="utf-8")))
+    except KeyError as exc:
+        raise MalformedScenario(f"scenario {p}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise MalformedScenario(f"scenario {p}: {exc}") from exc
 
 
 # --- resolution -------------------------------------------------------------
@@ -833,9 +840,7 @@ class Hub:
         except UnknownSource:
             return None
         description = sorted(
-            f"{serialize_term(t.subject)} {serialize_term(t.predicate)} "
-            f"{serialize_term(t.object)} ."
-            for t in self.store.triples(vo.description_graph)
+            serialize_triple(t) for t in self.store.triples(vo.description_graph)
         )
         recent = [
             {"ts": o.timestamp, "seq": o.sequence, "value": o.value.lexical}

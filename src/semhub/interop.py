@@ -34,7 +34,6 @@ from .semantic import (
     Variable,
     binding_set_to_json,
     serialize_term,
-    term_to_json,
 )
 
 # --- relational translation -------------------------------------------------
@@ -131,9 +130,6 @@ class OntologyContext:
                 raise TableMismatch(
                     f"predicate {pred} declares unknown domain class {spec.domain_class}"
                 )
-
-    def functional_predicates(self) -> frozenset[Iri]:
-        return frozenset(p for p, s in self.predicates.items() if s.functional)
 
 
 def annotate(triples: Sequence[Triple], ctx: OntologyContext) -> list[Triple]:
@@ -235,22 +231,6 @@ class ValidationReport:
     valid: bool
     violations: tuple[Violation, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "violations": [
-                {
-                    "triple": [
-                        term_to_json(v.triple.subject),
-                        term_to_json(v.triple.predicate),
-                        term_to_json(v.triple.object),
-                    ],
-                    "reason": v.reason,
-                }
-                for v in self.violations
-            ],
-        }
-
 
 def validate_description(
     triples: Sequence[Triple], ctx: OntologyContext
@@ -297,14 +277,6 @@ class SyncSummary:
     superseded: int = 0
     unchanged: int = 0
     skew_rejected: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "added": self.added,
-            "superseded": self.superseded,
-            "unchanged": self.unchanged,
-            "skewRejected": self.skew_rejected,
-        }
 
 
 class Synchronizer:

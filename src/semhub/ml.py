@@ -10,15 +10,11 @@ invariant under training-set permutation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import EmptyDataset, InvalidHyperparam, SchemaMismatch
-
-FORMAT_VERSION = 1
 
 ALGORITHMS = ("majority", "naive-bayes", "knn")
 
@@ -89,13 +85,6 @@ class Prediction:
     label: str
     scores: Mapping[str, float]
     model_id: str
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "scores": {k: self.scores[k] for k in sorted(self.scores)},
-            "modelId": self.model_id,
-        }
 
 
 @dataclass
@@ -286,62 +275,3 @@ def _predict_knn(m: TrainedModel, x: FeatureVector) -> Prediction:
     label = min(tied, key=lambda lab: (dist_sum[lab], lab))
     scores = {lab: votes.get(lab, 0) / k for lab in m.label_set}
     return Prediction(label, scores, m.model_id)
-
-
-# --- snapshots --------------------------------------------------------------
-
-def model_to_json(m: TrainedModel) -> dict:
-    return {
-        "formatVersion": FORMAT_VERSION,
-        "config": {
-            "analyzer": m.config.analyzer,
-            "algorithm": m.config.algorithm,
-            "hyperparams": dict(m.config.hyperparams),
-            "featureSchema": list(m.config.feature_schema),
-        },
-        "parameters": m.parameters,
-        "trainedOn": m.trained_on,
-        "labelSet": list(m.label_set),
-        "kinds": list(m.kinds),
-    }
-
-
-def model_from_json(doc: Mapping) -> TrainedModel:
-    if doc.get("formatVersion") != FORMAT_VERSION:
-        raise SchemaMismatch(
-            f"unsupported model snapshot version {doc.get('formatVersion')!r}"
-        )
-    c = doc["config"]
-    cfg = ModelConfig(
-        analyzer=c["analyzer"],
-        algorithm=c["algorithm"],
-        hyperparams=dict(c["hyperparams"]),
-        feature_schema=tuple(c["featureSchema"]),
-    )
-    parameters = doc["parameters"]
-    if cfg.algorithm == "knn":
-        parameters = {
-            "ranges": {k: tuple(v) for k, v in parameters["ranges"].items()},
-            "instances": [
-                {"features": [tuple(pair) for pair in inst["features"]],
-                 "label": inst["label"]}
-                for inst in parameters["instances"]
-            ],
-        }
-    return TrainedModel(
-        cfg,
-        parameters,
-        int(doc["trainedOn"]),
-        tuple(doc["labelSet"]),
-        tuple(doc["kinds"]),
-    )
-
-
-def save_model(m: TrainedModel, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_json(m), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def load_model(path: str | Path) -> TrainedModel:
-    return model_from_json(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -4,17 +4,14 @@ A VirtualObject mirrors one physical device: its observations land as triples
 in a per-VO data graph.  A CompositeVO groups member VOs and carries an
 ordered rule list; each evaluation pass matches rule conditions against a
 snapshot of the member data graphs and runs the action once per distinct
-binding.  Data graphs keep only the most recent observations per VO; evicted
-observations go to an append-only JSON-lines history file per domain.
+binding.  Data graphs keep only the most recent observations per VO.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from . import vocab
@@ -30,7 +27,6 @@ from .semantic import (
     GraphStore,
     Iri,
     Literal,
-    Query,
     Term,
     TriplePattern,
     Triple,
@@ -38,8 +34,6 @@ from .semantic import (
     integer,
     serialize_term,
     solve,
-    term_from_json,
-    term_to_json,
 )
 
 DOMAINS = ("smart-home", "medical-facility", "smart-office")
@@ -226,12 +220,10 @@ class ObjectRegistry:
     def __init__(
         self,
         store: GraphStore,
-        history_dir: str | Path | None = None,
         retention: int = RETENTION_WINDOW,
     ):
         self.store = store
         self.retention = retention
-        self._history_dir = Path(history_dir) if history_dir else None
         self._vos: dict[Iri, VirtualObject] = {}
         self._cvos: dict[Iri, CompositeVO] = {}
         self._users: dict[Iri, UserModel] = {}
@@ -385,23 +377,6 @@ class ObjectRegistry:
                     graph, Triple(vo.id, vocab.OBSERVED_AT, integer(old.timestamp))
                 )
             self._counts["evicted"] += 1
-        if self._history_dir:
-            self._history_dir.mkdir(parents=True, exist_ok=True)
-            path = self._history_dir / f"{vo.domain}.jsonl"
-            with path.open("a", encoding="utf-8") as fh:
-                for old in evicted:
-                    fh.write(
-                        json.dumps(
-                            {
-                                "source": old.source.value,
-                                "timestamp": old.timestamp,
-                                "sequence": old.sequence,
-                                "value": term_to_json(old.value),
-                            },
-                            sort_keys=True,
-                        )
-                        + "\n"
-                    )
 
     def buffered(self, vo_id: Iri) -> list[Observation]:
         with self._lock:
@@ -485,52 +460,3 @@ def _resolve_term(t, binding: Mapping[Variable, Term]) -> Term:
     if isinstance(t, Variable):
         return binding[t]
     return t
-
-
-# --- JSON forms -------------------------------------------------------------
-
-def rule_from_json(doc: Mapping) -> Rule:
-    condition = tuple(
-        TriplePattern(term_from_json(s), term_from_json(p), term_from_json(o))
-        for s, p, o in doc.get("condition", [])
-    )
-    filters = tuple(
-        Filter(term_from_json(f["var"]), f["op"], term_from_json(f["value"]))
-        for f in doc.get("filters", [])
-    )
-    a = doc["action"]
-    kind = a["type"]
-    if kind == "assert-triples":
-        action: Action = AssertTriples(
-            tuple(
-                (term_from_json(s), term_from_json(p), term_from_json(o))
-                for s, p, o in a["templates"]
-            )
-        )
-    elif kind == "publish-message":
-        action = PublishMessage(a["topic"], dict(a.get("payload", {})))
-    elif kind == "invoke-service":
-        action = InvokeService(a["kind"], dict(a.get("params", {})))
-    else:
-        raise ActionFailure(doc.get("id", "?"), f"unknown action type {kind!r}")
-    return Rule(doc["id"], condition, filters, action)
-
-
-def vo_from_json(doc: Mapping) -> VirtualObject:
-    return VirtualObject(
-        id=Iri(doc["id"]),
-        domain=doc["domain"],
-        kind=doc["kind"],
-        description_graph=Iri(doc["descriptionGraph"]),
-        observed_property=Iri(doc["observedProperty"]),
-        unit=doc.get("unit", ""),
-    )
-
-
-def cvo_from_json(doc: Mapping) -> CompositeVO:
-    return CompositeVO(
-        id=Iri(doc["id"]),
-        members=tuple(Iri(m) for m in doc["members"]),
-        rules=tuple(rule_from_json(r) for r in doc.get("rules", [])),
-        description_graph=Iri(doc["descriptionGraph"]),
-    )

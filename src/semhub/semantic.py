@@ -10,20 +10,18 @@ against brute-force enumeration.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
-from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, Union
-from urllib.parse import quote, unquote
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ComparisonTypeError,
     MalformedIri,
     MalformedLiteral,
+    MalformedQuery,
     UnboundVariable,
 )
 
@@ -249,9 +247,6 @@ class BindingSet:
     variables: tuple[Variable, ...]
     rows: tuple[tuple[Term, ...], ...]
 
-    def as_dicts(self) -> list[dict[Variable, Term]]:
-        return [dict(zip(self.variables, row)) for row in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -259,27 +254,10 @@ class BindingSet:
 # --- serialization ----------------------------------------------------------
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
 def _escape(s: str) -> str:
     return "".join(_ESCAPES.get(c, c) for c in s)
-
-
-def _unescape(s: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\":
-            if i + 1 >= len(s) or s[i + 1] not in _UNESCAPES:
-                raise MalformedLiteral(f"bad escape in {s!r}")
-            out.append(_UNESCAPES[s[i + 1]])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
 
 
 def serialize_term(t: PatternTerm) -> str:
@@ -290,52 +268,8 @@ def serialize_term(t: PatternTerm) -> str:
     return f"?{t.name}"
 
 
-_LINE_RE = re.compile(r"^<([^<>\s]+)> <([^<>\s]+)> (.+) \.$")
-
-
-def parse_term(text: str) -> Term:
-    """Parse the object position of a serialized triple."""
-    if text.startswith("<") and text.endswith(">"):
-        return Iri(text[1:-1])
-    if text.startswith('"'):
-        # find the closing unescaped quote
-        i = 1
-        while i < len(text):
-            if text[i] == "\\":
-                i += 2
-                continue
-            if text[i] == '"':
-                break
-            i += 1
-        else:
-            raise MalformedLiteral(f"unterminated literal: {text!r}")
-        lexical = _unescape(text[1:i])
-        rest = text[i + 1 :]
-        if not rest.startswith("^^"):
-            raise MalformedLiteral(f"missing datatype tag: {text!r}")
-        return Literal(lexical, rest[2:])
-    raise MalformedLiteral(f"unparseable term: {text!r}")
-
-
 def serialize_triple(t: Triple) -> str:
     return f"{serialize_term(t.subject)} {serialize_term(t.predicate)} {serialize_term(t.object)} ."
-
-
-def parse_triple(line: str) -> Triple:
-    m = _LINE_RE.match(line.strip())
-    if not m:
-        raise MalformedLiteral(f"unparseable triple line: {line!r}")
-    return Triple(Iri(m.group(1)), Iri(m.group(2)), parse_term(m.group(3)))
-
-
-def serialize_graph(triples: Iterable[Triple]) -> str:
-    """One triple per line, lexicographically sorted, LF-terminated."""
-    lines = sorted(serialize_triple(t) for t in triples)
-    return "".join(line + "\n" for line in lines)
-
-
-def parse_graph(text: str) -> list[Triple]:
-    return [parse_triple(line) for line in text.splitlines() if line.strip()]
 
 
 def term_to_json(t: PatternTerm):
@@ -351,7 +285,7 @@ def term_from_json(x) -> PatternTerm:
         if x.startswith("?"):
             return Variable(x[1:])
         return Iri(x)
-    if isinstance(x, Mapping):
+    if isinstance(x, Mapping) and "value" in x:
         return Literal(str(x["value"]), x.get("type", "string"))
     raise MalformedLiteral(f"unparseable term JSON: {x!r}")
 
@@ -371,15 +305,32 @@ def query_to_json(q: Query) -> dict:
     }
 
 
+def _list_field(doc: Mapping, name: str) -> list:
+    value = doc.get(name, [])
+    if not isinstance(value, list):
+        raise MalformedQuery(f"{name} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def query_from_json(doc: Mapping) -> Query:
-    select = [term_from_json(s) for s in doc.get("select", [])]
+    """Build a Query from its JSON document, checking every field's shape."""
+    if not isinstance(doc, Mapping):
+        raise MalformedQuery(f"a query document must be a JSON object, got {type(doc).__name__}")
+    select = [term_from_json(s) for s in _list_field(doc, "select")]
     if not all(isinstance(v, Variable) for v in select):
         raise UnboundVariable("select entries must be ?-prefixed variables")
     where = []
-    for s, p, o in doc.get("where", []):
+    for entry in _list_field(doc, "where"):
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise MalformedQuery(f"where entries must be 3-item lists, got {entry!r}")
+        s, p, o = entry
         where.append(TriplePattern(term_from_json(s), term_from_json(p), term_from_json(o)))
     filters = []
-    for f in doc.get("filters", []):
+    for f in _list_field(doc, "filters"):
+        if not isinstance(f, Mapping) or not {"var", "op", "value"} <= f.keys():
+            raise MalformedQuery(
+                f"filters entries must be objects with var, op and value, got {f!r}"
+            )
         var = term_from_json(f["var"])
         if not isinstance(var, Variable):
             raise UnboundVariable("filter var must be a ?-prefixed variable")
@@ -387,8 +338,10 @@ def query_from_json(doc: Mapping) -> Query:
         if isinstance(value, Variable):
             raise ComparisonTypeError("filter value must be a constant")
         filters.append(Filter(var, f["op"], value))
-    graphs = [Iri(g) for g in doc.get("graphs", [])]
-    return Query(select, where, filters, graphs)
+    graphs = _list_field(doc, "graphs")
+    if not all(isinstance(g, str) for g in graphs):
+        raise MalformedQuery(f"graphs entries must be IRI strings, got {graphs!r}")
+    return Query(select, where, filters, [Iri(g) for g in graphs])
 
 
 def binding_set_to_json(bs: BindingSet) -> dict:
@@ -632,20 +585,3 @@ class GraphStore:
 
     def evaluate(self, q: Query) -> BindingSet:
         return solve_query(self.snapshot(q.graph_scope), q)
-
-    # --- flat-file snapshots -------------------------------------------
-
-    def save(self, directory: str | Path) -> None:
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            for name in sorted(self._graphs):
-                path = d / (quote(name.value, safe="") + ".nt")
-                path.write_text(serialize_graph(self._graphs[name]), encoding="utf-8")
-
-    def load(self, directory: str | Path) -> None:
-        d = Path(directory)
-        for path in sorted(d.glob("*.nt")):
-            name = Iri(unquote(path.name[: -len(".nt")]))
-            for t in parse_graph(path.read_text(encoding="utf-8")):
-                self.insert(name, t)

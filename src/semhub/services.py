@@ -263,10 +263,6 @@ class Repository:
         with self._lock:
             return dict(self._policy)
 
-    def capabilities(self) -> list[str]:
-        with self._lock:
-            return sorted(self._capability_flows)
-
     # --- descriptor access ----------------------------------------------
 
     def get(self, descriptor_id: str) -> MicroserviceDescriptor:

@@ -1,21 +1,16 @@
-"""Broker behavior: filter matching, QoS semantics, faults, TCP framing."""
+"""Broker behavior: filter matching, QoS semantics, faults."""
 
-import base64
 import random
-import socket
 
 import pytest
 
 from semhub.bus import (
     Broker,
-    BusServer,
     Delivery,
     FaultInjector,
     Message,
     Topic,
     TopicFilter,
-    read_frame,
-    write_frame,
 )
 from semhub.errors import BrokerDown, InvalidFilter
 
@@ -321,88 +316,3 @@ def test_independent_outboxes_one_slow_subscriber_does_not_block_other():
     assert [d.payload for d in fast] == [b"m1", b"m2"]
     assert [d.payload for d in slow] == [b"m1"]
     assert broker.pending_count() == 2  # m1 in flight + m2 queued behind it
-
-
-# --- tcp front --------------------------------------------------------------
-
-
-@pytest.fixture()
-def bus_server():
-    broker = Broker()
-    server = BusServer(broker)
-    server.start()
-    yield broker, server
-    server.shutdown()
-    server.server_close()
-
-
-def rpc(sock, doc):
-    write_frame(sock, doc)
-    return read_frame(sock)
-
-
-def test_tcp_subscribe_publish_roundtrip(bus_server):
-    broker, server = bus_server
-    sub = socket.create_connection(("127.0.0.1", server.port))
-    pub = socket.create_connection(("127.0.0.1", server.port))
-    try:
-        suback = rpc(sub, {"op": "sub", "filter": "obs/#", "qos": 0})
-        assert suback["op"] == "suback"
-        payload = base64.b64encode(b"21.5").decode()
-        puback = rpc(
-            pub, {"op": "pub", "topic": "obs/home/temp", "payload": payload, "qos": 0}
-        )
-        assert puback == {"op": "puback", "matched": 1, "acked": 0}
-        msg = read_frame(sub)
-        assert msg["op"] == "msg"
-        assert msg["topic"] == "obs/home/temp"
-        assert base64.b64decode(msg["payload"]) == b"21.5"
-    finally:
-        sub.close()
-        pub.close()
-
-
-def test_tcp_qos1_manual_ack(bus_server):
-    broker, server = bus_server
-    sub = socket.create_connection(("127.0.0.1", server.port))
-    pub = socket.create_connection(("127.0.0.1", server.port))
-    try:
-        sid = rpc(sub, {"op": "sub", "filter": "a", "qos": 1})["sid"]
-        payload = base64.b64encode(b"x").decode()
-        puback = rpc(pub, {"op": "pub", "topic": "a", "payload": payload, "qos": 1})
-        assert puback["op"] == "puback" and puback["acked"] == 0
-        msg = read_frame(sub)
-        assert msg["op"] == "msg" and msg["dup"] is False
-        assert broker.pending_count() == 1
-        ackack = rpc(sub, {"op": "ack", "sid": sid, "mid": msg["mid"]})
-        assert ackack == {"op": "ackack", "ok": True}
-        assert broker.pending_count() == 0
-    finally:
-        sub.close()
-        pub.close()
-
-
-def test_tcp_invalid_filter_reports_error(bus_server):
-    _, server = bus_server
-    sock = socket.create_connection(("127.0.0.1", server.port))
-    try:
-        reply = rpc(sock, {"op": "sub", "filter": "a/#/b", "qos": 0})
-        assert reply["op"] == "error"
-        assert rpc(sock, {"op": "ping"}) == {"op": "pong"}
-    finally:
-        sock.close()
-
-
-def test_tcp_disconnect_cleans_up_subscriptions(bus_server):
-    broker, server = bus_server
-    sock = socket.create_connection(("127.0.0.1", server.port))
-    rpc(sock, {"op": "sub", "filter": "a/#", "qos": 0})
-    assert len(broker.subscriptions()) == 1
-    sock.close()
-    deadline = 50
-    import time
-
-    while broker.subscriptions() and deadline:
-        time.sleep(0.02)
-        deadline -= 1
-    assert broker.subscriptions() == []

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from semhub.cli import main
+from semhub.hub import Hub
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +90,78 @@ def test_query_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 2
+
+
+def run_cli_rejected(capsys, monkeypatch, *argv):
+    """Run a command whose input must be refused before the scenario runs."""
+
+    def ran(self):
+        raise AssertionError("the scenario ran before its input was checked")
+
+    monkeypatch.setattr(Hub, "run", ran)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("hub: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,
+        "{not json",
+        "[1, 2]",
+        '{"where": [5]}',
+        '{"select": "?x"}',
+        '{"where": [["?x", "urn:sem:type", {"type": "integer"}]]}',
+    ],
+)
+def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
+    q = tmp_path / "q.json"
+    if text is not None:  # None leaves the file missing
+        q.write_text(text, encoding="utf-8")
+    err = run_cli_rejected(capsys, monkeypatch, "query", "--file", str(q))
+    assert f"query file {q}" in err
+
+
+@pytest.mark.parametrize(
+    "text, detail",
+    [
+        (None, "No such file"),
+        ("{not json", "Expecting property name"),
+        ('{"durationTicks": "x"}', "invalid literal for int()"),
+        ('{"requests": [{}]}', "missing key 'tick'"),
+        ('{"users": ["alice"]}', "has no attribute 'items'"),
+    ],
+)
+def test_malformed_scenario_rejected(capsys, monkeypatch, tmp_path, text, detail):
+    cfg = tmp_path / "scenario.json"
+    if text is not None:  # None leaves the file missing
+        cfg.write_text(text, encoding="utf-8")
+    err = run_cli_rejected(capsys, monkeypatch, "run", "--config", str(cfg))
+    assert detail in err
+
+
+def test_query_failing_at_evaluation_exits_nonzero(capsys, tmp_path):
+    q = tmp_path / "q.json"
+    q.write_text(
+        json.dumps(
+            {
+                "select": ["?v"],
+                "where": [["?s", "urn:sem:heartRate", "?v"]],
+                "filters": [{"var": "?v", "op": ">", "value": "urn:x:y"}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "query", "--file", str(q), "--ticks", "20")
+    assert code == 1
+    assert out == ""
+    assert err == "hub: error: cannot compare an IRI with a literal\n"
 
 
 def test_request_completed(capsys):

@@ -142,6 +142,35 @@ def test_query_route_rejects_malformed(served):
     assert doc["error"]
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        {"where": [5]},
+        {"where": [["?x", "urn:sem:type"]]},
+        {"where": 3},
+        {"graphs": 5},
+        {"graphs": [5]},
+        {"filters": [5]},
+        {"filters": [{"var": "?x"}]},
+        {"select": "?x"},
+    ],
+    ids=json.dumps,
+)
+def test_query_route_rejects_bad_shapes(served, query):
+    _, base = served
+    status, doc = _post(base + "/queries", query)
+    assert status == 400
+    [field] = query
+    assert doc["error"].startswith(field)
+    # the connection was answered, not dropped, and the server still serves
+    status, doc = _post(
+        base + "/queries",
+        {"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]},
+    )
+    assert status == 200
+    assert doc["count"] >= 1
+
+
 def test_unknown_route_is_404(served):
     _, base = served
     status, doc = _get(base + "/nothing/here")

@@ -27,9 +27,7 @@ from semhub.ml import (
     LabeledInstance,
     ModelConfig,
     feature_vector,
-    load_model,
     predict,
-    save_model,
     train,
 )
 
@@ -232,37 +230,6 @@ def test_predictions_invariant_under_training_permutation():
             rng.shuffle(shuffled)
             m = train(shuffled, cfg(algorithm, ["x", "c"], **hyper))
             assert [predict(m, x).label for x in probes] == expected
-
-
-# --- snapshots --------------------------------------------------------------
-
-def test_model_snapshot_round_trip(tmp_path):
-    rng = random.Random(3)
-    data = [
-        inst(rng.choice("AB"), x=rng.uniform(0, 9), c=rng.choice("pq"))
-        for _ in range(20)
-    ]
-    probes = [xvec(x=rng.uniform(-1, 10), c=rng.choice("pqr")) for _ in range(10)]
-    for algorithm, hyper in (
-        ("majority", {}),
-        ("naive-bayes", {"alpha": 1.0}),
-        ("knn", {"k": 3}),
-    ):
-        m = train(data, cfg(algorithm, ["x", "c"], **hyper))
-        path = tmp_path / f"{algorithm}.json"
-        save_model(m, path)
-        loaded = load_model(path)
-        for x in probes:
-            assert predict(loaded, x).scores == predict(m, x).scores
-
-
-def test_snapshot_version_checked(tmp_path):
-    m = train([inst("A", x=1)], cfg("majority", ["x"]))
-    save_model(m, tmp_path / "m.json")
-    text = (tmp_path / "m.json").read_text().replace('"formatVersion": 1', '"formatVersion": 9')
-    (tmp_path / "m.json").write_text(text)
-    with pytest.raises(SchemaMismatch):
-        load_model(tmp_path / "m.json")
 
 
 # --- feature builders -------------------------------------------------------

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from semhub import vocab
@@ -22,7 +20,6 @@ from semhub.objects import (
     VO_CLASS,
     VirtualObject,
     data_graph_of,
-    rule_from_json,
 )
 from semhub.semantic import (
     Filter,
@@ -40,9 +37,9 @@ from semhub.semantic import (
 MOTION = vocab.MOTION_COUNT
 
 
-def make_registry(tmp_path=None, retention=100):
+def make_registry(retention=100):
     store = GraphStore()
-    return ObjectRegistry(store, history_dir=tmp_path, retention=retention), store
+    return ObjectRegistry(store, retention=retention), store
 
 
 def make_vo(registry, name="vo1", domain="smart-home", prop=MOTION):
@@ -192,8 +189,8 @@ def test_sequence_monotone_after_interleaving():
     assert registry.last_sequence(vo.id) == max(accepted) == 9
 
 
-def test_retention_window_and_history_log(tmp_path):
-    registry, store = make_registry(tmp_path, retention=5)
+def test_retention_window():
+    registry, store = make_registry(retention=5)
     vo = make_vo(registry)
     for i in range(1, 9):  # 8 observations, window 5 → 3 evicted
         registry.ingest(obs(vo, i, 100 + i))
@@ -204,9 +201,6 @@ def test_retention_window_and_history_log(tmp_path):
         t.object for t in store.triples(g) if t.predicate == MOTION
     }
     assert values == {integer(100 + i) for i in range(4, 9)}
-    log = tmp_path / "smart-home.jsonl"
-    lines = [json.loads(x) for x in log.read_text().splitlines()]
-    assert [e["sequence"] for e in lines] == [1, 2, 3]
     assert registry.counts()["evicted"] == 3
 
 
@@ -377,20 +371,3 @@ def test_rule_action_variables_must_be_bound():
             filters=(),
             action=PublishMessage("t", {"x": "{?ghost}"}),
         )
-
-
-def test_rule_json_round_trip_shape():
-    doc = {
-        "id": "high-motion",
-        "condition": [["?s", vocab.MOTION_COUNT.value, "?v"]],
-        "filters": [{"var": "?v", "op": ">", "value": {"type": "integer", "value": "20"}}],
-        "action": {
-            "type": "publish-message",
-            "topic": "alerts/home",
-            "payload": {"motion": "{?v}"},
-        },
-    }
-    rule = rule_from_json(doc)
-    assert rule.id == "high-motion"
-    assert isinstance(rule.action, PublishMessage)
-    assert rule.filters[0].op == ">"

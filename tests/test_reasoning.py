@@ -162,9 +162,9 @@ def test_semi_naive_matches_naive_oracle(seed):
 USER = vocab.user_iri("anna")
 
 
-def make_world(tmp_path=None):
+def make_world():
     store = GraphStore()
-    registry = ObjectRegistry(store, history_dir=tmp_path)
+    registry = ObjectRegistry(store)
     service = ReasoningService(registry, load_default_programs())
     return registry, service
 
