@@ -74,17 +74,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_hub(cfg: ScenarioConfig, args: argparse.Namespace) -> Hub:
+def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.ticks is not None:
         overrides["duration_ticks"] = args.ticks
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    hub = Hub(cfg)
-    hub.run()
-    return hub
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _emit(doc) -> None:
@@ -96,7 +92,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # Reject unreadable or malformed input before the scenario runs.
     try:
-        cfg = load_scenario(args.config)
+        cfg = _apply_overrides(load_scenario(args.config), args)
+        if args.command == "request" and args.tick is not None:
+            cfg.check_tick(args.tick)
     except (OSError, HubError) as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.command == "query":
@@ -105,7 +103,8 @@ def main(argv=None) -> int:
             query_from_json(query_doc)
         except (OSError, ValueError, HubError) as exc:
             parser.exit(2, f"{parser.prog}: error: query file {args.file}: {exc}\n")
-    hub = _build_hub(cfg, args)
+    hub = Hub(cfg)
+    hub.run()
     try:
         if args.command == "run":
             out = hub.report_json()

@@ -160,3 +160,7 @@ class UnsatisfiableRequirement(HubError):
 
 class MalformedScenario(HubError):
     """A scenario file that is not JSON or does not have the scenario's shape."""
+
+
+class TickOutOfRange(HubError):
+    """A request for a tick before the run starts or after it ends."""

@@ -18,7 +18,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
-from .errors import HubError
+from .errors import HubError, TickOutOfRange
 from .hub import Hub
 
 
@@ -77,7 +77,10 @@ class _Handler(BaseHTTPRequestHandler):
             if tick is not None and type(tick) is not int:  # bool is an int subclass
                 error = f"tick must be a JSON integer, got {json.dumps(tick)}"
                 return self._send(400, {"error": error})
-            record = self.hub.submit_request(str(capability), str(user), tick)
+            try:
+                record = self.hub.submit_request(str(capability), str(user), tick)
+            except TickOutOfRange as exc:
+                return self._send(400, {"error": str(exc)})
             return self._send(200, record)
         if self.path == "/queries":
             try:

@@ -42,6 +42,7 @@ from .bus import Broker, Delivery
 from .errors import (
     MalformedScenario,
     StaleSequence,
+    TickOutOfRange,
     UnknownCapability,
     UnknownSource,
     UnresolvableKind,
@@ -152,6 +153,20 @@ class ScenarioConfig:
     monitor_interval: int = 5
     requests: tuple[ScriptedRequest, ...] = ()
     faults: tuple[FaultEvent, ...] = ()
+
+    def __post_init__(self):
+        if self.duration_ticks < 0:
+            raise MalformedScenario(
+                f"durationTicks must not be negative, got {self.duration_ticks}"
+            )
+
+    def check_tick(self, tick: int) -> None:
+        """Refuse a request tick the run never reaches: ticks run from 0 to
+        `duration_ticks`, the end of the run."""
+        if not 0 <= tick <= self.duration_ticks:
+            raise TickOutOfRange(
+                f"tick {tick} is outside this run's ticks 0..{self.duration_ticks}"
+            )
 
     @staticmethod
     def from_json(doc: Mapping) -> "ScenarioConfig":
@@ -646,8 +661,14 @@ class Hub:
     # --- request handling ----------------------------------------------
 
     def submit_request(self, capability: str, user: str, tick: int | None = None) -> dict:
+        """Serve one request at `tick` (default: the end of the run so far);
+        a tick outside the run raises TickOutOfRange and records nothing."""
         with self._lock:
-            return self._submit(capability, user, self._ticks_run if tick is None else tick)
+            if tick is None:
+                tick = self._ticks_run
+            else:
+                self.config.check_tick(tick)
+            return self._submit(capability, user, tick)
 
     def _submit(self, capability: str, user: str, tick: int) -> dict:
         self._request_seq += 1

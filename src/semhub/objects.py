@@ -4,14 +4,16 @@ A VirtualObject mirrors one physical device: its observations land as triples
 in a per-VO data graph.  A CompositeVO groups member VOs and carries an
 ordered rule list; each evaluation pass matches rule conditions against a
 snapshot of the member data graphs and runs the action once per distinct
-binding.  Data graphs keep only the most recent observations per VO.
+binding.  Data graphs keep only the most recent observations per VO; the
+registry reference-counts the values and timestamps in each VO's retention
+window, so ingesting an observation and evicting the oldest cost O(1).
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass
+from collections import Counter, deque
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import vocab
@@ -209,12 +211,35 @@ class FiredRule:
 
 # --- registry ---------------------------------------------------------------
 
+@dataclass(slots=True)
+class _Window:
+    """One VO's retention window: its data graph, the retained observations
+    oldest first, and how many of them carry each value and each timestamp."""
+
+    graph: Iri
+    buffer: deque[Observation] = field(default_factory=deque)
+    values: Counter[Literal] = field(default_factory=Counter)
+    times: Counter[int] = field(default_factory=Counter)
+
+
+def _release(counts: Counter, key) -> bool:
+    """Drop one reference to `key`; True when no retained observation holds it."""
+    if counts[key] > 1:
+        counts[key] -= 1
+        return False
+    del counts[key]
+    return True
+
+
 class ObjectRegistry:
     """Central repository of VOs, CVOs and user models.
 
     Ingestion enforces per-source sequence monotonicity and the retention
     window; rule evaluation reads a snapshot, so concurrent ingestion only
-    affects the next pass.
+    affects the next pass.  Each VO's window is kept with reference counts of
+    the values and timestamps it holds: an evicted observation's triple
+    leaves the data graph only when no retained observation shares it, and
+    neither ingest nor eviction scans the window.
     """
 
     def __init__(
@@ -227,7 +252,7 @@ class ObjectRegistry:
         self._vos: dict[Iri, VirtualObject] = {}
         self._cvos: dict[Iri, CompositeVO] = {}
         self._users: dict[Iri, UserModel] = {}
-        self._buffers: dict[Iri, deque[Observation]] = {}
+        self._windows: dict[Iri, _Window] = {}
         self._last_seq: dict[Iri, int] = {}
         self._last_ts: dict[Iri, int] = {}
         self._counts = {"observations": 0, "evicted": 0, "stale_dropped": 0}
@@ -258,7 +283,7 @@ class ObjectRegistry:
                     f"description graph {vo.description_graph} lacks the type triple"
                 )
             self._vos[vo.id] = vo
-            self._buffers[vo.id] = deque()
+            self._windows[vo.id] = _Window(data_graph_of(vo.id))
             return vo.id
 
     def register_cvo(self, cvo: CompositeVO) -> Iri:
@@ -344,43 +369,32 @@ class ObjectRegistry:
             self._last_seq[obs.source] = obs.sequence
             self._last_ts[obs.source] = obs.timestamp
 
-            graph = data_graph_of(obs.source)
-            buffer = self._buffers[obs.source]
-            buffer.append(obs)
+            window = self._windows[obs.source]
+            window.buffer.append(obs)
+            window.values[obs.value] += 1
+            window.times[obs.timestamp] += 1
+            graph = window.graph
             self.store.insert(graph, Triple(obs.source, vo.observed_property, obs.value))
             self.store.insert(
                 graph, Triple(obs.source, vocab.OBSERVED_AT, integer(obs.timestamp))
             )
             self._counts["observations"] += 1
 
-            evicted: list[Observation] = []
-            while len(buffer) > self.retention:
-                evicted.append(buffer.popleft())
-            if evicted:
-                self._retire(vo, graph, buffer, evicted)
+            while len(window.buffer) > self.retention:
+                old = window.buffer.popleft()
+                if _release(window.values, old.value):
+                    self.store.remove(graph, Triple(vo.id, vo.observed_property, old.value))
+                if _release(window.times, old.timestamp):
+                    self.store.remove(
+                        graph, Triple(vo.id, vocab.OBSERVED_AT, integer(old.timestamp))
+                    )
+                self._counts["evicted"] += 1
             return 2
-
-    def _retire(
-        self,
-        vo: VirtualObject,
-        graph: Iri,
-        buffer: deque[Observation],
-        evicted: list[Observation],
-    ) -> None:
-        live_values = {o.value for o in buffer}
-        live_times = {o.timestamp for o in buffer}
-        for old in evicted:
-            if old.value not in live_values:
-                self.store.remove(graph, Triple(vo.id, vo.observed_property, old.value))
-            if old.timestamp not in live_times:
-                self.store.remove(
-                    graph, Triple(vo.id, vocab.OBSERVED_AT, integer(old.timestamp))
-                )
-            self._counts["evicted"] += 1
 
     def buffered(self, vo_id: Iri) -> list[Observation]:
         with self._lock:
-            return list(self._buffers.get(vo_id, ()))
+            window = self._windows.get(vo_id)
+            return list(window.buffer) if window else []
 
     def last_sequence(self, vo_id: Iri) -> int | None:
         with self._lock:

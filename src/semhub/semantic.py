@@ -29,6 +29,8 @@ DATATYPES = ("string", "integer", "decimal", "boolean", "dateTime")
 
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
+# Matches exactly the characters for which str.isspace() is true.
+_SPACE_RE = re.compile(r"\s")
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,7 +41,7 @@ class Iri:
 
     def __post_init__(self):
         v = self.value
-        if not v or ":" not in v or any(c.isspace() for c in v):
+        if not v or ":" not in v or _SPACE_RE.search(v):
             raise MalformedIri(f"not an absolute IRI: {v!r}")
 
     def __str__(self) -> str:
@@ -57,7 +59,7 @@ class Variable:
 
     def __post_init__(self):
         n = self.name
-        if not n or ":" in n or any(c.isspace() for c in n):
+        if not n or ":" in n or _SPACE_RE.search(n):
             raise MalformedIri(f"not a valid variable name: {n!r}")
 
     def __str__(self) -> str:

@@ -136,6 +136,7 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
         ('{"durationTicks": "x"}', "invalid literal for int()"),
         ('{"requests": [{}]}', "missing key 'tick'"),
         ('{"users": ["alice"]}', "has no attribute 'items'"),
+        ('{"durationTicks": -1}', "durationTicks must not be negative, got -1"),
     ],
 )
 def test_malformed_scenario_rejected(capsys, monkeypatch, tmp_path, text, detail):
@@ -194,6 +195,58 @@ def test_request_unknown_user_exits_nonzero(capsys):
     )
     assert code == 1
     assert json.loads(out)["outcome"] == "failed"
+
+
+@pytest.mark.parametrize("tick", ["-1", "21", str(10**12)])
+def test_request_tick_outside_run_rejected(capsys, monkeypatch, tick):
+    err = run_cli_rejected(
+        capsys,
+        monkeypatch,
+        "request",
+        "--capability",
+        "reason.activity",
+        "--user",
+        "alice",
+        "--ticks",
+        "20",
+        "--tick",
+        tick,
+    )
+    assert err == f"hub: error: tick {tick} is outside this run's ticks 0..20\n"
+
+
+def test_negative_ticks_rejected(capsys, monkeypatch):
+    err = run_cli_rejected(
+        capsys,
+        monkeypatch,
+        "request",
+        "--capability",
+        "reason.activity",
+        "--user",
+        "alice",
+        "--ticks",
+        "-1",
+    )
+    assert err == "hub: error: durationTicks must not be negative, got -1\n"
+
+
+def test_request_at_last_tick(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "request",
+        "--capability",
+        "reason.activity",
+        "--user",
+        "alice",
+        "--ticks",
+        "20",
+        "--tick",
+        "20",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tick"] == 20
+    assert doc["outcome"] == "completed"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

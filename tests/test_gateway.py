@@ -121,6 +121,40 @@ def test_submit_request_rejects_non_integer_tick(served, tick):
     assert record["outcome"] == "completed"
 
 
+@pytest.mark.parametrize("tick", [-1, 61, 10**12])
+def test_submit_request_rejects_tick_outside_run(served, tick):
+    hub, base = served
+    before = hub.report()
+    status, doc = _post(
+        base + "/requests",
+        {"capability": "reason.activity", "user": "alice", "tick": tick},
+    )
+    assert status == 400
+    assert doc["error"] == f"tick {tick} is outside this run's ticks 0..60"
+    after = hub.report()
+    assert after["requests"] == before["requests"]
+    assert after["resolution"] == before["resolution"]
+    # the connection was answered, not dropped, and the server still serves
+    status, record = _post(
+        base + "/requests",
+        {"capability": "reason.activity", "user": "alice", "tick": 12},
+    )
+    assert status == 200
+    assert record["outcome"] == "completed"
+    assert record["id"] == f"req-{len(before['requests']) + 1:04d}"
+
+
+def test_submit_request_at_last_tick(served):
+    _, base = served
+    status, record = _post(
+        base + "/requests",
+        {"capability": "reason.activity", "user": "alice", "tick": 60},
+    )
+    assert status == 200
+    assert record["tick"] == 60
+    assert record["outcome"] == "completed"
+
+
 def test_query_route(served):
     _, base = served
     status, doc = _post(

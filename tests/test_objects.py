@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from semhub import vocab
@@ -213,6 +215,45 @@ def test_retention_keeps_shared_values():
         registry.ingest(obs(vo, i, value))
     g = data_graph_of(vo.id)
     assert Triple(vo.id, MOTION, integer(7)) in store.snapshot([g])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_retention_matches_window_model(seed):
+    """Random streams with repeated values and timestamps, equal timestamps,
+    and stale or regressing observations: after every ingest the data graph
+    holds exactly the triples of the last `retention` accepted observations."""
+    rng = random.Random(seed)
+    retention = rng.randint(1, 5)
+    registry, store = make_registry(retention=retention)
+    vo = make_vo(registry)
+    g = data_graph_of(vo.id)
+    accepted: list[Observation] = []
+    seq, ts = 0, 1000
+    for _ in range(200):
+        candidate = Observation(
+            vo.id,
+            ts + rng.randint(-1, 2),
+            integer(rng.randint(0, 3)),
+            seq + rng.randint(-1, 2),
+        )
+        graph_before = set(store.triples(g))
+        counts_before = registry.counts()
+        if accepted and (candidate.sequence <= seq or candidate.timestamp < ts):
+            with pytest.raises(StaleSequence):
+                registry.ingest(candidate)
+            assert set(store.triples(g)) == graph_before
+            counts_before["stale_dropped"] += 1
+            assert registry.counts() == counts_before
+            continue
+        registry.ingest(candidate)
+        accepted.append(candidate)
+        seq, ts = candidate.sequence, candidate.timestamp
+        window = accepted[-retention:]
+        assert set(store.triples(g)) == {
+            Triple(vo.id, MOTION, o.value) for o in window
+        } | {Triple(vo.id, vocab.OBSERVED_AT, integer(o.timestamp)) for o in window}
+        assert registry.buffered(vo.id) == window
+        assert registry.counts()["evicted"] == max(0, len(accepted) - retention)
 
 
 # --- rule evaluation --------------------------------------------------------

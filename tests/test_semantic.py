@@ -41,6 +41,14 @@ def test_iri_validation():
             Iri(bad)
 
 
+@pytest.mark.parametrize("space", [" ", "\x1c", "\u3000", "\n"], ids=repr)
+def test_whitespace_rejected_in_iri_and_variable(space):
+    with pytest.raises(MalformedIri):
+        Iri(f"urn:t:a{space}b")
+    with pytest.raises(MalformedIri):
+        Variable(f"a{space}b")
+
+
 def test_literal_validation():
     assert Literal("42", "integer").value() == 42
     assert Literal("-7", "integer").value() == -7
