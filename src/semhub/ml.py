@@ -4,12 +4,15 @@ Bayes, and k-nearest-neighbour.
 Every number here is hand-checkable: naive Bayes uses Laplace smoothing over
 the observed category vocabulary plus one unseen-category bucket, kNN
 normalizes numerics to [0,1] (clamping out-of-range queries) and scores
-categorical mismatches 0/1.  All tie-breaks are explicit so predictions are
+categorical mismatches 0/1.  kNN normalizes and canonicalizes its training
+rows once, at training time, and prepares each query the same way before
+measuring distances.  All tie-breaks are explicit so predictions are
 invariant under training-set permutation.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -170,10 +173,11 @@ def _train_knn(data: Sequence[LabeledInstance], cfg: ModelConfig, kinds) -> dict
             continue
         column = [float(inst.features[name]) for inst in data]
         ranges[name] = (min(column), max(column))
-    instances = [
-        {"features": list(inst.features.values), "label": inst.label} for inst in data
+    rows = [
+        (_prepare(inst.features, cfg.feature_schema, kinds, ranges), inst.label)
+        for inst in data
     ]
-    return {"ranges": ranges, "instances": instances}
+    return {"ranges": ranges, "rows": rows}
 
 
 # --- prediction -------------------------------------------------------------
@@ -207,15 +211,17 @@ def _predict_naive_bayes(m: TrainedModel, x: FeatureVector) -> Prediction:
     n = sum(class_counts.values())
     n_classes = len(m.label_set)
     log_joint: dict[str, float] = {}
+    # one extra vocabulary slot absorbs categories unseen in training
+    query = [
+        (name, canonical_category(value), len(vocab[name]) + 1)
+        for name, value in x.values
+    ]
     for label in m.label_set:
         c = class_counts.get(label, 0)
         logp = math.log((c + alpha) / (n + alpha * n_classes))
-        for name, value in x.values:
-            cat = canonical_category(value)
-            # one extra vocabulary slot absorbs categories unseen in training
-            bucket = len(vocab[name]) + 1
-            seen = likelihood_counts[name].get(label, {})
-            count = seen.get(cat, 0) if cat in vocab[name] else 0
+        for name, cat, bucket in query:
+            # counts hold only training categories, so an unseen one reads 0
+            count = likelihood_counts[name].get(label, {}).get(cat, 0)
             logp += math.log((count + alpha) / (c + alpha * bucket))
         log_joint[label] = logp
     peak = max(log_joint.values())
@@ -233,41 +239,38 @@ def _normalize(value: float, lo: float, hi: float) -> float:
     return min(1.0, max(0.0, scaled))
 
 
+def _prepare(fv: FeatureVector, schema: Sequence[str], kinds, ranges) -> tuple:
+    """Feature values in schema order as kNN compares them: numerics
+    normalized (and clamped) to the training range, categories canonical."""
+    return tuple(
+        _normalize(float(v), *ranges[name]) if kind == "number" else canonical_category(v)
+        for name, kind, (_, v) in zip(schema, kinds, fv.values)
+    )
+
+
 def _predict_knn(m: TrainedModel, x: FeatureVector) -> Prediction:
     k = m.config.hyperparams["k"]
-    ranges = m.parameters["ranges"]
-    schema = m.config.feature_schema
     kinds = m.kinds
+    query = _prepare(x, m.config.feature_schema, kinds, m.parameters["ranges"])
+    numeric = [kind == "number" for kind in kinds]
 
-    def distance(stored_features) -> float:
+    def distance(row: tuple) -> float:
         d = 0.0
-        for i, name in enumerate(schema):
-            sv = stored_features[i][1]
-            qv = x.values[i][1]
-            if kinds[i] == "number":
-                lo, hi = ranges[name]
-                a = _normalize(float(sv), lo, hi)
-                b = _normalize(float(qv), lo, hi)
+        for is_number, a, b in zip(numeric, row, query):
+            if is_number:
                 d += (a - b) ** 2
-            else:
-                if canonical_category(sv) != canonical_category(qv):
-                    d += 1.0
+            elif a != b:
+                d += 1.0
         return math.sqrt(d)
 
-    ranked = sorted(
-        (
-            (
-                distance(inst["features"]),
-                inst["label"],
-                tuple(canonical_category(v) for _, v in inst["features"]),
-            )
-            for inst in m.parameters["instances"]
-        ),
+    # (distance, label) orders neighbours independently of training order;
+    # rows equal in both are interchangeable for the vote below
+    nearest = heapq.nsmallest(
+        k, ((distance(row), label) for row, label in m.parameters["rows"])
     )
-    nearest = ranked[:k]
     votes: dict[str, int] = {}
     dist_sum: dict[str, float] = {}
-    for d, label, _ in nearest:
+    for d, label in nearest:
         votes[label] = votes.get(label, 0) + 1
         dist_sum[label] = dist_sum.get(label, 0.0) + d
     best_votes = max(votes.values())

@@ -8,9 +8,11 @@ naive fixpoint that re-derives everything each round.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterable, Mapping, Sequence
 
+from semhub.ml import canonical_category
 from semhub.semantic import (
     BindingSet,
     Filter,
@@ -272,3 +274,54 @@ def _unify(pattern: TriplePattern, t: Triple, binding):
         elif pt != tt:
             return None
     return b
+
+
+# --- unprepared k-nearest-neighbour ------------------------------------------
+
+def oracle_knn(data, schema: Sequence[str], k: int, x) -> tuple[str, dict[str, float]]:
+    """(label, scores) of kNN computed from the raw training instances.
+
+    Numerics are scaled to the training range and clamped at predict time,
+    every instance is ranked by (distance, label), the k nearest vote, and a
+    vote tie goes to the smaller distance sum, then the smaller label.
+    """
+    numeric = {
+        name for name, v in data[0].features.values if isinstance(v, (int, float))
+    }
+    ranges = {
+        name: (
+            min(float(inst.features[name]) for inst in data),
+            max(float(inst.features[name]) for inst in data),
+        )
+        for name in numeric
+    }
+
+    def scaled(name, value) -> float:
+        lo, hi = ranges[name]
+        if hi <= lo:
+            return 0.0
+        return min(1.0, max(0.0, (float(value) - lo) / (hi - lo)))
+
+    def distance(features) -> float:
+        total = 0.0
+        for name in schema:
+            a, b = features[name], x[name]
+            if name in numeric:
+                total += (scaled(name, a) - scaled(name, b)) ** 2
+            elif canonical_category(a) != canonical_category(b):
+                total += 1.0
+        return math.sqrt(total)
+
+    ranked = sorted((distance(inst.features), inst.label) for inst in data)
+    votes: dict[str, int] = {}
+    dist_sum: dict[str, float] = {}
+    for d, label in ranked[:k]:
+        votes[label] = votes.get(label, 0) + 1
+        dist_sum[label] = dist_sum.get(label, 0.0) + d
+    top = max(votes.values())
+    label = min(
+        (lab for lab, v in votes.items() if v == top),
+        key=lambda lab: (dist_sum[lab], lab),
+    )
+    labels = sorted({inst.label for inst in data})
+    return label, {lab: votes.get(lab, 0) / k for lab in labels}

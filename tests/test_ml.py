@@ -30,6 +30,9 @@ from semhub.ml import (
     predict,
     train,
 )
+from semhub.simulate import generate_labeled_dataset
+
+from oracles import oracle_knn
 
 BASE_TS = 1_704_067_200_000  # 2024-01-01T00:00:00Z (a Monday)
 
@@ -175,7 +178,9 @@ def test_knn_normalization_and_clamping():
 def test_knn_categorical_mismatch_counts_one():
     data = [inst("A", c="p", d="p"), inst("B", c="q", d="q"), inst("B", c="q", d="p")]
     m = train(data, cfg("knn", ["c", "d"], k=1))
-    assert predict(m, xvec(c="p", d="q")).label in {"A", "B"}
+    # (p, q) is at distance 1.0 from both A(p, p) and B(q, q): the label
+    # is the second sort key, so A is the one nearest neighbour
+    assert predict(m, xvec(c="p", d="q")).label == "A"
     assert predict(m, xvec(c="q", d="p")).label == "B"
 
 
@@ -230,6 +235,46 @@ def test_predictions_invariant_under_training_permutation():
             rng.shuffle(shuffled)
             m = train(shuffled, cfg(algorithm, ["x", "c"], **hyper))
             assert [predict(m, x).label for x in probes] == expected
+
+
+def assert_knn_matches_oracle(data, schema, k, probes):
+    m = train(data, cfg("knn", schema, k=k))
+    for x in probes:
+        p = predict(m, x)
+        assert (p.label, p.scores) == oracle_knn(data, schema, k, x), x
+
+
+def test_knn_matches_oracle_on_bundled_configs():
+    configs = load_analyzer_configs(DATA_DIR / "analytics")
+    for analyzer in ("location", "physio"):
+        c = configs[analyzer]
+        for seed in range(4):
+            for noise in (0.1, 0.5):
+                data = generate_labeled_dataset(analyzer, 150, seed, noise)
+                train_part, probes = data[:100], data[100:]
+                assert_knn_matches_oracle(
+                    train_part, c.feature_schema, c.hyperparams["k"],
+                    [inst.features for inst in probes],
+                )
+
+
+def test_knn_matches_oracle_on_tie_heavy_data():
+    # small integer numerics and few categories make many rows equidistant;
+    # probes reach past the training range so the clamp matters
+    rng = random.Random(66)
+    for _ in range(60):
+        cats = "pq" if rng.random() < 0.5 else "pqr"
+        data = [
+            inst(rng.choice("ABC"), x=rng.randrange(4), y=rng.randrange(3),
+                 c=rng.choice(cats))
+            for _ in range(rng.randrange(5, 16))
+        ]
+        probes = [
+            xvec(x=rng.randrange(-3, 8), y=rng.randrange(-2, 6), c=rng.choice("pqrs"))
+            for _ in range(10)
+        ]
+        for k in (1, 3, 5):
+            assert_knn_matches_oracle(data, ["x", "y", "c"], k, probes)
 
 
 # --- feature builders -------------------------------------------------------
