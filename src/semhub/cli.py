@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import HubError
+from .errors import HubError, MalformedIri
 from .gateway import GatewayServer
 from .hub import Hub, ScenarioConfig, load_scenario
 from .semantic import query_from_json
@@ -30,6 +30,12 @@ def _add_scenario_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario JSON file (bundled default)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--ticks", type=int, help="override durationTicks")
+
+
+def _port(text: str) -> int:
+    if not (text.isascii() and text.isdigit()) or int(text) > 65535:
+        raise argparse.ArgumentTypeError(f"must be an integer 0-65535, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser("serve", help="run the scenario, then serve HTTP")
     _add_scenario_options(serve_p)
-    serve_p.add_argument("--port", type=int, default=8080)
+    serve_p.add_argument("--port", type=_port, default=8080)
 
     return parser
 
@@ -104,8 +110,13 @@ def main(argv=None) -> int:
         except (OSError, ValueError, HubError) as exc:
             parser.exit(2, f"{parser.prog}: error: query file {args.file}: {exc}\n")
     hub = Hub(cfg)
-    hub.run()
     try:
+        if args.command == "serve":  # bind before the run, so a taken port fails fast
+            try:
+                server = GatewayServer(hub, port=args.port)
+            except OSError as exc:
+                parser.exit(2, f"{parser.prog}: error: cannot serve on port {args.port}: {exc}\n")
+        hub.run()
         if args.command == "run":
             out = hub.report_json()
             sys.stdout.write(out)
@@ -123,9 +134,13 @@ def main(argv=None) -> int:
             if args.action == "list":
                 _emit(hub.objects_overview())
                 return 0
-            detail = hub.object_detail(args.iri)
+            try:
+                detail = hub.object_detail(args.iri)
+            except MalformedIri as exc:
+                sys.stderr.write(f"{parser.prog}: error: {exc}\n")
+                return 1
             if detail is None:
-                sys.stderr.write(f"unknown object: {args.iri}\n")
+                sys.stderr.write(f"{parser.prog}: error: unknown object {args.iri}\n")
                 return 1
             _emit(detail)
             return 0
@@ -137,7 +152,6 @@ def main(argv=None) -> int:
             _emit(record)
             return 0 if record["outcome"] != "failed" else 1
         if args.command == "serve":
-            server = GatewayServer(hub, port=args.port)
             sys.stderr.write(f"hub gateway listening on port {server.port}\n")
             try:
                 server.serve_forever()

@@ -18,8 +18,14 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import unquote
 
-from .errors import HubError, TickOutOfRange
+from .errors import HubError, MalformedIri, TickOutOfRange
 from .hub import Hub
+
+MAX_BODY_BYTES = 1 << 20  # a request or query document is a few hundred bytes
+
+
+class _BodyTooLarge(ValueError):
+    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -38,7 +44,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        if not (header.isascii() and header.isdigit()):
+            raise ValueError(f"Content-Length must be a non-negative integer, got {header!r}")
+        length = int(header)
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -55,7 +66,10 @@ class _Handler(BaseHTTPRequestHandler):
             return self._send(200, self.hub.objects_overview())
         if path.startswith("/objects/"):
             iri = path[len("/objects/"):]
-            detail = self.hub.object_detail(iri)
+            try:
+                detail = self.hub.object_detail(iri)
+            except MalformedIri as exc:
+                return self._send(400, {"error": str(exc)})
             if detail is None:
                 return self._send(404, {"error": f"unknown object {iri}"})
             return self._send(200, detail)
@@ -66,7 +80,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 - stdlib naming
         try:
             doc = self._read_body()
-        except (ValueError, json.JSONDecodeError) as exc:
+        except _BodyTooLarge as exc:
+            return self._send(413, {"error": str(exc)})
+        except ValueError as exc:  # also malformed JSON and UTF-8
             return self._send(400, {"error": str(exc)})
         if self.path == "/requests":
             capability = doc.get("capability")

@@ -4,7 +4,7 @@ composition-flow orchestration.
 Microservices here are in-process actors: a descriptor row in the repository
 plus a handler callable keyed by kind.  The repository is one linearizable
 registry — every transition and instantiation goes through its lock — while
-flow execution dispatches independent DAG branches onto a small thread pool.
+flow execution runs one-step waves inline and gives fan-out waves a pool.
 """
 
 from __future__ import annotations
@@ -513,13 +513,13 @@ def orchestrate(
     flow: CompositionFlow,
     inputs: Mapping[str, object],
     repo: Repository,
-    max_workers: int = 4,
 ) -> FlowResult:
     """Run the flow's steps in topological waves.
 
     Before anything executes, every step kind is resolved: an existing
     Running instance is reused, otherwise one is instantiated from its
     template; with neither, UnresolvableKind surfaces and nothing runs.
+    A one-step wave runs on the calling thread; a fan-out wave gets its own pool.
     """
     order = flow.topological_order()
     for step in order:
@@ -530,7 +530,6 @@ def orchestrate(
 
     states: dict[str, str] = {}
     outputs: dict[str, object] = {}
-    failed_steps: list[str] = []
     remaining = list(order)
 
     def run_step(assignment: tuple[FlowStep, MicroserviceDescriptor]):
@@ -547,41 +546,40 @@ def orchestrate(
         finally:
             repo.adjust_depth(descriptor.id, -1)
 
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        while remaining:
-            ready: list[FlowStep] = []
-            progressed = False
-            for step in list(remaining):
-                deps = step.dependencies()
-                if any(states.get(d) in ("failed", "skipped") for d in deps):
-                    states[step.step_id] = "skipped"
-                    remaining.remove(step)
-                    progressed = True
-                elif all(states.get(d) == "completed" for d in deps):
-                    ready.append(step)
-                    remaining.remove(step)
-                    progressed = True
-            if not progressed:
-                break  # unreachable while flows validate acyclic, kept defensive
-            # dispatch decisions are taken serially, in topological order,
-            # so identical repository state yields identical assignments even
-            # though the wave itself runs concurrently
-            assignments = []
-            for step in ready:
-                descriptor = repo.discover(step.kind)[0]
-                repo.adjust_depth(descriptor.id, 1)
-                assignments.append((step, descriptor))
-            for step_id, state, out in pool.map(run_step, assignments):
-                states[step_id] = state
-                if state == "completed":
-                    outputs[step_id] = out
-                else:
-                    failed_steps.append(step_id)
+    while remaining:
+        ready, waiting = [], []
+        for step in remaining:
+            deps = step.dependencies()
+            if any(states.get(d) in ("failed", "skipped") for d in deps):
+                states[step.step_id] = "skipped"
+            elif all(states.get(d) == "completed" for d in deps):
+                ready.append(step)
+            else:
+                waiting.append(step)
+        if len(waiting) == len(remaining):
+            break  # unreachable while flows validate acyclic, kept defensive
+        remaining = waiting
+        # dispatch decisions are taken serially, in topological order,
+        # so identical repository state yields identical assignments even
+        # though a fan-out wave runs concurrently
+        assignments = []
+        for step in ready:
+            descriptor = repo.discover(step.kind)[0]
+            repo.adjust_depth(descriptor.id, 1)
+            assignments.append((step, descriptor))
+        if len(assignments) < 2:  # a wave whose steps were all skipped is empty
+            results = [run_step(a) for a in assignments]
+        else:
+            with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
+                results = list(pool.map(run_step, assignments))
+        for step_id, state, out in results:
+            states[step_id] = state
+            if state == "completed":
+                outputs[step_id] = out
 
-    if failed_steps:
-        topo_ids = [s.step_id for s in order]
-        first_failed = min(failed_steps, key=topo_ids.index)
-        return FlowResult("failed", outputs, states, first_failed)
+    failed = [s.step_id for s in order if states.get(s.step_id) == "failed"]
+    if failed:
+        return FlowResult("failed", outputs, states, failed[0])
     return FlowResult("completed", outputs, states, None)
 
 

@@ -1,6 +1,7 @@
 """The `hub` CLI, invoked in-process for speed."""
 
 import json
+import socket
 
 import pytest
 
@@ -62,6 +63,13 @@ def test_objects_show_unknown_fails(capsys):
     assert "unknown object" in err
     assert out == ""
 
+
+@pytest.mark.parametrize("iri", ["nope", "has space"])
+def test_objects_show_malformed_iri_fails(capsys, iri):
+    code, out, err = run_cli(capsys, "objects", "show", iri, "--ticks", "0")
+    assert code == 1
+    assert err == f"hub: error: not an absolute IRI: {iri!r}\n"
+    assert out == ""
 
 def test_services_list(capsys):
     code, out, _ = run_cli(capsys, "services", "list", "--ticks", "0")
@@ -253,3 +261,24 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_serve_port_out_of_range_rejected_before_run(capsys, monkeypatch):
+    def ran(self):
+        raise AssertionError("the scenario ran before the port was checked")
+
+    monkeypatch.setattr(Hub, "run", ran)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--port", "70000", "--ticks", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --port: must be an integer 0-65535, got '70000'" in err
+
+
+def test_serve_port_in_use_rejected_before_run(capsys, monkeypatch):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        err = run_cli_rejected(capsys, monkeypatch, "serve", "--port", str(port), "--ticks", "0")
+    assert err.startswith(f"hub: error: cannot serve on port {port}: ")

@@ -1,13 +1,15 @@
 """HTTP gateway routes against a live hub."""
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.parse
 import urllib.request
 
 import pytest
 
-from semhub.gateway import GatewayServer
+from semhub.gateway import MAX_BODY_BYTES, GatewayServer
 from semhub.hub import Hub, ScenarioConfig
 
 
@@ -74,6 +76,17 @@ def test_object_detail_unknown_is_404(served):
     assert status == 404
     assert "unknown object" in doc["error"]
 
+
+@pytest.mark.parametrize("path", ["/objects/nope", "/objects/has%20space"])
+def test_object_detail_malformed_iri_is_400(served, path):
+    _, base = served
+    status, doc = _get(base + path)
+    assert status == 400
+    assert doc["error"].startswith("not an absolute IRI")
+    # the connection was answered, not dropped, and the server still serves
+    status, doc = _get(base + "/objects/urn:sem:vo:nope")
+    assert status == 404
+    assert "unknown object" in doc["error"]
 
 def test_services_route(served):
     _, base = served
@@ -204,6 +217,44 @@ def test_query_route_rejects_bad_shapes(served, query):
     assert status == 200
     assert doc["count"] >= 1
 
+
+
+def _post_headers_only(base, content_length):
+    """POST whose headers claim `content_length` body bytes but send none."""
+    port = urllib.parse.urlsplit(base).port
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(
+            (
+                "POST /queries HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+            ).encode("ascii")
+        )
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "content_length, status, detail",
+    [
+        ("99999999999", 413, "body of 99999999999 bytes exceeds"),
+        (str(MAX_BODY_BYTES + 1), 413, "-byte limit"),
+        ("-5", 400, "Content-Length must be a non-negative integer, got '-5'"),
+        ("ten", 400, "Content-Length must be a non-negative integer, got 'ten'"),
+    ],
+)
+def test_request_body_length_is_bounded(served, content_length, status, detail):
+    _, base = served
+    got, doc = _post_headers_only(base, content_length)
+    assert got == status
+    assert detail in doc["error"]
+    # the connection was answered, not dropped, and the server still serves
+    got, doc = _post(
+        base + "/queries",
+        {"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]},
+    )
+    assert got == 200
+    assert doc["count"] >= 1
 
 def test_unknown_route_is_404(served):
     _, base = served

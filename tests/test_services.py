@@ -24,6 +24,7 @@ from semhub.services import (
     RUNNING,
     CompositionFlow,
     Decision,
+    FlowResult,
     FlowStep,
     MicroserviceDescriptor,
     MicroserviceTemplate,
@@ -741,6 +742,59 @@ def test_orchestrate_deterministic_outputs_and_dispatch():
     # serial dispatch decisions: a -> w-1, b -> w-2 (w-1 busy), c -> w-1
     assert runs[0].step_outputs["a"]["svc"] == "w-1"
     assert runs[0].step_outputs["b"]["svc"] == "w-2"
+
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a wave of fewer than two steps built a thread pool")
+
+
+def test_orchestrate_one_step_waves_run_on_calling_thread(monkeypatch):
+    monkeypatch.setattr("semhub.services.ThreadPoolExecutor", no_pool)
+    threads = []
+
+    def inc(d, p):
+        threads.append(threading.get_ident())
+        return {"value": p["value"] + 1}
+
+    repo = flow_repo({"inc": inc})
+    flow = CompositionFlow(
+        "chain",
+        (
+            FlowStep("a", "inc", {"value": "$request.x"}),
+            FlowStep("b", "inc", {"value": "$steps.a.value"}),
+            FlowStep("c", "inc", {"value": "$steps.b.value"}),
+        ),
+    )
+    result = orchestrate(flow, {"x": 0}, repo)
+    assert result.status == "completed"
+    assert result.step_outputs["c"] == {"value": 3}
+    assert threads == [threading.get_ident()] * 3
+
+
+def test_orchestrate_failing_one_step_wave_skips_descendants(monkeypatch):
+    # after "b" fails, "c" and "d" are both skipped in one pass, so the last
+    # wave is empty and must not build a pool either
+    monkeypatch.setattr("semhub.services.ThreadPoolExecutor", no_pool)
+    repo = flow_repo({"ok": lambda d, p: {"out": 1}, "boom": lambda d, p: 1 / 0})
+    flow = CompositionFlow(
+        "chain",
+        (
+            FlowStep("a", "ok"),
+            FlowStep("b", "boom", {"x": "$steps.a.out"}),
+            FlowStep("c", "ok", {"x": "$steps.b.out"}),
+            FlowStep("d", "ok", {"x": "$steps.c.out"}),
+        ),
+    )
+    result = orchestrate(flow, {}, repo)
+    assert result == FlowResult(
+        "failed",
+        {"a": {"out": 1}},
+        {"a": "completed", "b": "failed", "c": "skipped", "d": "skipped"},
+        failed_step="b",
+    )
+    assert repo.get("ok-1").load_queue_depth == 0
+    assert repo.get("boom-1").load_queue_depth == 0
 
 
 # --- bundled config ---------------------------------------------------------
