@@ -22,10 +22,15 @@ from .errors import HubError, MalformedIri, TickOutOfRange
 from .hub import Hub
 
 MAX_BODY_BYTES = 1 << 20  # a request or query document is a few hundred bytes
+SOCKET_TIMEOUT_S = 5  # a client that stalls mid-request frees its server thread
 
 
-class _BodyTooLarge(ValueError):
-    pass
+class _BodyRefused(Exception):
+    """A body the handler will not read, answered with `status`."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -49,8 +54,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"Content-Length must be a non-negative integer, got {header!r}")
         length = int(header)
         if length > MAX_BODY_BYTES:
-            raise _BodyTooLarge(f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
-        raw = self.rfile.read(length) if length else b""
+            raise _BodyRefused(413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            raise _BodyRefused(408, f"body not received within {self.timeout} s") from None
+        if len(raw) < length:
+            raise ValueError(f"body ended after {len(raw)} of the {length} bytes in Content-Length")
         if not raw:
             return {}
         doc = json.loads(raw.decode("utf-8"))
@@ -80,8 +90,8 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):  # noqa: N802 - stdlib naming
         try:
             doc = self._read_body()
-        except _BodyTooLarge as exc:
-            return self._send(413, {"error": str(exc)})
+        except _BodyRefused as exc:
+            return self._send(exc.status, {"error": str(exc)})
         except ValueError as exc:  # also malformed JSON and UTF-8
             return self._send(400, {"error": str(exc)})
         if self.path == "/requests":
@@ -110,7 +120,7 @@ class GatewayServer:
     """Serves one hub on a background thread; port 0 picks a free port."""
 
     def __init__(self, hub: Hub, host: str = "127.0.0.1", port: int = 0):
-        handler = type("_BoundHandler", (_Handler,), {"hub": hub})
+        handler = type("_BoundHandler", (_Handler,), {"hub": hub, "timeout": SOCKET_TIMEOUT_S})
         self._server = ThreadingHTTPServer((host, port), handler)
         self._server.daemon_threads = True
         self._thread: threading.Thread | None = None

@@ -710,12 +710,9 @@ class Hub:
         except UnresolvableKind as exc:
             return self._finish(record, "failed", reason=f"unresolvable-kind: {exc}")
         if result.status == "failed":
-            detail = result.step_outputs.get(result.failed_step, {})
+            error = result.step_outputs[result.failed_step]["error"]
             return self._finish(
-                record,
-                "failed",
-                reason=str(detail.get("error", "step failed")),
-                failed_step=result.failed_step,
+                record, "failed", reason=error, failed_step=result.failed_step
             )
         terminal = flow.topological_order()[-1].step_id
         record["result"] = dict(result.step_outputs.get(terminal, {}))

@@ -32,7 +32,6 @@ from .semantic import (
     Triple,
     TriplePattern,
     Variable,
-    binding_set_to_json,
     serialize_term,
 )
 
@@ -430,7 +429,6 @@ def query_signature(q: Query) -> str:
 class QueryLogEntry:
     signature: str
     query: Query
-    last_result_digest: str = ""
     hit_count: int = 0
 
 
@@ -463,12 +461,6 @@ class QueryLog:
             return entry
 
 
-def _result_digest(result: BindingSet) -> str:
-    return hashlib.sha256(
-        json.dumps(binding_set_to_json(result), sort_keys=True).encode()
-    ).hexdigest()
-
-
 def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSet, str]:
     """Execute q through the log: replay the stored normalized query on a hit,
     otherwise normalize, log, and execute.  Results always reflect the live
@@ -484,7 +476,6 @@ def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSe
         log.record(entry)
         result = store.evaluate(normalized)
         status = "miss-generated"
-    entry.last_result_digest = _result_digest(result)
     return BindingSet(q.select, result.rows), status
 
 

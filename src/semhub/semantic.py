@@ -346,13 +346,6 @@ def query_from_json(doc: Mapping) -> Query:
     return Query(select, where, filters, [Iri(g) for g in graphs])
 
 
-def binding_set_to_json(bs: BindingSet) -> dict:
-    return {
-        "variables": [f"?{v.name}" for v in bs.variables],
-        "rows": [[term_to_json(t) for t in row] for row in bs.rows],
-    }
-
-
 # --- matching and evaluation ------------------------------------------------
 
 class TripleIndex:

@@ -3,15 +3,15 @@ composition-flow orchestration.
 
 Microservices here are in-process actors: a descriptor row in the repository
 plus a handler callable keyed by kind.  The repository is one linearizable
-registry — every transition and instantiation goes through its lock — while
-flow execution runs one-step waves inline and gives fan-out waves a pool.
+registry — every transition and instantiation goes through its lock — and
+a flow runs its steps one at a time, in topological order, on the caller's
+thread.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -514,12 +514,15 @@ def orchestrate(
     inputs: Mapping[str, object],
     repo: Repository,
 ) -> FlowResult:
-    """Run the flow's steps in topological waves.
+    """Run the flow's steps one at a time, in topological order, on the
+    calling thread.
 
     Before anything executes, every step kind is resolved: an existing
     Running instance is reused, otherwise one is instantiated from its
     template; with neither, UnresolvableKind surfaces and nothing runs.
-    A one-step wave runs on the calling thread; a fan-out wave gets its own pool.
+    Each step goes to the least-loaded Running instance of its kind.  A step
+    whose handler raises fails with output {"error": message}, and every
+    step downstream of it is skipped.
     """
     order = flow.topological_order()
     for step in order:
@@ -530,57 +533,28 @@ def orchestrate(
 
     states: dict[str, str] = {}
     outputs: dict[str, object] = {}
-    remaining = list(order)
-
-    def run_step(assignment: tuple[FlowStep, MicroserviceDescriptor]):
-        step, descriptor = assignment
+    failed_step = None
+    for step in order:
+        if any(states[d] != "completed" for d in step.dependencies()):
+            states[step.step_id] = "skipped"
+            continue
+        descriptor = repo.discover(step.kind)[0]
+        repo.adjust_depth(descriptor.id, 1)
         handler = repo.handler(step.kind)
         step_inputs = {
             name: _resolve_input(src, inputs, outputs) for name, src in step.inputs.items()
         }
         try:
-            out = handler(descriptor, step_inputs) if handler else {}
-            return step.step_id, "completed", out
+            outputs[step.step_id] = handler(descriptor, step_inputs) if handler else {}
+            states[step.step_id] = "completed"
         except Exception as exc:
-            return step.step_id, "failed", {"error": str(exc)}
+            outputs[step.step_id] = {"error": str(exc)}
+            states[step.step_id] = "failed"
+            failed_step = failed_step or step.step_id
         finally:
             repo.adjust_depth(descriptor.id, -1)
 
-    while remaining:
-        ready, waiting = [], []
-        for step in remaining:
-            deps = step.dependencies()
-            if any(states.get(d) in ("failed", "skipped") for d in deps):
-                states[step.step_id] = "skipped"
-            elif all(states.get(d) == "completed" for d in deps):
-                ready.append(step)
-            else:
-                waiting.append(step)
-        if len(waiting) == len(remaining):
-            break  # unreachable while flows validate acyclic, kept defensive
-        remaining = waiting
-        # dispatch decisions are taken serially, in topological order,
-        # so identical repository state yields identical assignments even
-        # though a fan-out wave runs concurrently
-        assignments = []
-        for step in ready:
-            descriptor = repo.discover(step.kind)[0]
-            repo.adjust_depth(descriptor.id, 1)
-            assignments.append((step, descriptor))
-        if len(assignments) < 2:  # a wave whose steps were all skipped is empty
-            results = [run_step(a) for a in assignments]
-        else:
-            with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
-                results = list(pool.map(run_step, assignments))
-        for step_id, state, out in results:
-            states[step_id] = state
-            if state == "completed":
-                outputs[step_id] = out
-
-    failed = [s.step_id for s in order if states.get(s.step_id) == "failed"]
-    if failed:
-        return FlowResult("failed", outputs, states, failed[0])
-    return FlowResult("completed", outputs, states, None)
+    return FlowResult("failed" if failed_step else "completed", outputs, states, failed_step)
 
 
 # --- config loading ---------------------------------------------------------

@@ -3,6 +3,7 @@
 import http.client
 import json
 import socket
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -219,8 +220,9 @@ def test_query_route_rejects_bad_shapes(served, query):
 
 
 
-def _post_headers_only(base, content_length):
-    """POST whose headers claim `content_length` body bytes but send none."""
+def _post_raw(base, content_length, body=b"", end_body=False):
+    """POST whose headers claim `content_length` body bytes but send only
+    `body`; with `end_body` the client then shuts its side for writing."""
     port = urllib.parse.urlsplit(base).port
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(
@@ -228,10 +230,23 @@ def _post_headers_only(base, content_length):
                 "POST /queries HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                 f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
             ).encode("ascii")
+            + body
         )
+        if end_body:
+            sock.shutdown(socket.SHUT_WR)
         resp = http.client.HTTPResponse(sock)
         resp.begin()
         return resp.status, json.loads(resp.read().decode("utf-8"))
+
+
+def _assert_query_served(base):
+    # the last connection was answered, not dropped, and the server still serves
+    got, doc = _post(
+        base + "/queries",
+        {"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]},
+    )
+    assert got == 200
+    assert doc["count"] >= 1
 
 
 @pytest.mark.parametrize(
@@ -245,16 +260,34 @@ def _post_headers_only(base, content_length):
 )
 def test_request_body_length_is_bounded(served, content_length, status, detail):
     _, base = served
-    got, doc = _post_headers_only(base, content_length)
+    got, doc = _post_raw(base, content_length)
     assert got == status
     assert detail in doc["error"]
-    # the connection was answered, not dropped, and the server still serves
-    got, doc = _post(
-        base + "/queries",
-        {"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]},
-    )
-    assert got == 200
-    assert doc["count"] >= 1
+    _assert_query_served(base)
+
+
+def test_stalled_body_times_out(served, monkeypatch):
+    monkeypatch.setattr("semhub.gateway.SOCKET_TIMEOUT_S", 0.2)
+    server = GatewayServer(served[0]).start()
+    base = f"http://127.0.0.1:{server.port}"
+    try:
+        started = time.monotonic()
+        got, doc = _post_raw(base, 100, body=b"{}")
+        assert time.monotonic() - started < 5  # the client itself waits 10 s
+        assert got == 408
+        assert doc["error"] == "body not received within 0.2 s"
+        _assert_query_served(base)
+    finally:
+        server.stop()
+
+
+def test_body_ending_early_is_400(served):
+    _, base = served
+    got, doc = _post_raw(base, 100, body=b"{}", end_body=True)
+    assert got == 400
+    assert doc["error"] == "body ended after 2 of the 100 bytes in Content-Length"
+    _assert_query_served(base)
+
 
 def test_unknown_route_is_404(served):
     _, base = served

@@ -6,6 +6,7 @@ cache-path checks that need pristine counters.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -318,6 +319,27 @@ def test_unknown_user_is_a_failed_request(booted):
     record = booted.submit_request("reason.activity", "mallory")
     assert record["outcome"] == "failed"
     assert record["reason"] == "unknown-user"
+
+
+def test_failed_step_error_reaches_request_record(booted):
+    def offline(descriptor, inputs):
+        raise RuntimeError("sensor feed offline")
+
+    booted.repo.register_handler("reason.activity", offline)
+    record = booted.submit_request("reason.activity", "alice")
+    assert record["outcome"] == "failed"
+    assert record["reason"] == "sensor feed offline"
+    assert record["failedStep"] == "derive"
+
+
+def test_fan_out_flow_starts_no_thread(booted, monkeypatch):
+    def no_thread(self):
+        raise AssertionError(f"request started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for path in ("mashup-generated", "mashup-cache-hit"):
+        record = booted.submit_request("analytics.activity-physio-correlation", "alice", 0)
+        assert (record["outcome"], record["path"]) == ("completed", path)
 
 
 # --- composite-object rules -------------------------------------------------

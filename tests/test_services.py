@@ -706,20 +706,6 @@ def test_orchestrate_restores_queue_depths():
     assert repo.get("w-1").load_queue_depth == 0
 
 
-def test_orchestrate_parallel_branches_run_concurrently():
-    barrier = threading.Barrier(2, timeout=5)
-
-    def rendezvous(d, p):
-        barrier.wait()  # only passes if both branches are in flight at once
-        return {}
-
-    repo = flow_repo({"sync": rendezvous})
-    repo.instantiate("sync")  # second instance so both steps can dispatch
-    flow = CompositionFlow("f", (FlowStep("a", "sync"), FlowStep("b", "sync")))
-    result = orchestrate(flow, {}, repo)
-    assert result.status == "completed"
-
-
 def test_orchestrate_deterministic_outputs_and_dispatch():
     def handler(d, p):
         return {"svc": d.id, "value": p.get("value")}
@@ -739,43 +725,36 @@ def test_orchestrate_deterministic_outputs_and_dispatch():
     )
     runs = [orchestrate(flow, {"x": 7}, build()) for _ in range(5)]
     assert all(r.step_outputs == runs[0].step_outputs for r in runs)
-    # serial dispatch decisions: a -> w-1, b -> w-2 (w-1 busy), c -> w-1
-    assert runs[0].step_outputs["a"]["svc"] == "w-1"
-    assert runs[0].step_outputs["b"]["svc"] == "w-2"
+    # each step is dispatched when it starts, after the one before it has
+    # released its instance, so every step lands on the idle w-1
+    assert [runs[0].step_outputs[s]["svc"] for s in "abc"] == ["w-1"] * 3
 
 
-
-def no_pool(*args, **kwargs):
-    raise AssertionError("a wave of fewer than two steps built a thread pool")
-
-
-def test_orchestrate_one_step_waves_run_on_calling_thread(monkeypatch):
-    monkeypatch.setattr("semhub.services.ThreadPoolExecutor", no_pool)
+def test_orchestrate_one_step_waves_run_on_calling_thread():
     threads = []
 
     def inc(d, p):
         threads.append(threading.get_ident())
-        return {"value": p["value"] + 1}
+        return {"value": sum(p.values()) + 1}
 
     repo = flow_repo({"inc": inc})
+    repo.instantiate("inc")  # a second instance the fan-out could use
     flow = CompositionFlow(
-        "chain",
+        "diamond",
         (
-            FlowStep("a", "inc", {"value": "$request.x"}),
-            FlowStep("b", "inc", {"value": "$steps.a.value"}),
-            FlowStep("c", "inc", {"value": "$steps.b.value"}),
+            FlowStep("top", "inc", {"value": "$request.x"}),
+            FlowStep("left", "inc", {"value": "$steps.top.value"}),
+            FlowStep("right", "inc", {"value": "$steps.top.value"}),
+            FlowStep("join", "inc", {"l": "$steps.left.value", "r": "$steps.right.value"}),
         ),
     )
     result = orchestrate(flow, {"x": 0}, repo)
     assert result.status == "completed"
-    assert result.step_outputs["c"] == {"value": 3}
-    assert threads == [threading.get_ident()] * 3
+    assert result.step_outputs["join"] == {"value": 5}
+    assert threads == [threading.get_ident()] * 4
 
 
-def test_orchestrate_failing_one_step_wave_skips_descendants(monkeypatch):
-    # after "b" fails, "c" and "d" are both skipped in one pass, so the last
-    # wave is empty and must not build a pool either
-    monkeypatch.setattr("semhub.services.ThreadPoolExecutor", no_pool)
+def test_orchestrate_failing_one_step_wave_skips_descendants():
     repo = flow_repo({"ok": lambda d, p: {"out": 1}, "boom": lambda d, p: 1 / 0})
     flow = CompositionFlow(
         "chain",
@@ -789,7 +768,7 @@ def test_orchestrate_failing_one_step_wave_skips_descendants(monkeypatch):
     result = orchestrate(flow, {}, repo)
     assert result == FlowResult(
         "failed",
-        {"a": {"out": 1}},
+        {"a": {"out": 1}, "b": {"error": "division by zero"}},
         {"a": "completed", "b": "failed", "c": "skipped", "d": "skipped"},
         failed_step="b",
     )
