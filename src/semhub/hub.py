@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -74,7 +74,7 @@ from .semantic import (
     serialize_term,
     serialize_triple,
 )
-from .services import Repository, RequestLog, ServiceRequest
+from .services import Repository
 from .simulate import (
     DomainSimulator,
     accuracy,
@@ -208,17 +208,6 @@ def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
 # --- resolution -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Mashup:
-    signature: str
-    capability: str
-    classes: tuple[str, ...]
-    domains: tuple[str, ...]
-    object_ids: tuple[Iri, ...]
-    graph: Iri
-    created_tick: int
-
-
-@dataclass(frozen=True)
 class Resolution:
     path: str  # single-domain | mashup-generated | mashup-cache-hit
     domains: tuple[str, ...]
@@ -251,7 +240,6 @@ class Hub:
         self.registry = ObjectRegistry(self.store)
         self.broker = Broker()
         self.repo = Repository()
-        self.request_log = RequestLog()
         self.reasoning = ReasoningService(self.registry, load_default_programs())
         self.analytics = AnalyticsService()
         # The hub facade serves resolution and ad-hoc queries; the medical
@@ -280,7 +268,7 @@ class Hub:
         self._vo_class: dict[Iri, str] = {}
         self._class_domains: dict[str, set[str]] = {}
         self._cvo_ids: list[Iri] = []
-        self._mashups: dict[str, Mashup] = {}
+        self._mashups: dict[str, Resolution] = {}
         self._med_pending: list[RelationalRecord] = []
         self._last_batch: list[RelationalRecord] = []
         self._resolution = {
@@ -583,23 +571,8 @@ class Hub:
         signature = mashup_signature(capability, classes, domains)
         cached = self._mashups.get(signature)
         if cached is not None:
-            return Resolution(
-                "mashup-cache-hit",
-                cached.domains,
-                cached.classes,
-                cached.object_ids,
-                signature,
-                cached.graph,
-            )
-        mashup = self._generate_mashup(capability, classes, domains, signature, tick)
-        return Resolution(
-            "mashup-generated",
-            mashup.domains,
-            mashup.classes,
-            mashup.object_ids,
-            signature,
-            mashup.graph,
-        )
+            return replace(cached, path="mashup-cache-hit")
+        return self._generate_mashup(classes, domains, signature, tick)
 
     def _contributors(
         self, classes: Sequence[str], domains: Sequence[str]
@@ -615,12 +588,11 @@ class Hub:
 
     def _generate_mashup(
         self,
-        capability: str,
         classes: Sequence[str],
         domains: Sequence[str],
         signature: str,
         tick: int,
-    ) -> Mashup:
+    ) -> Resolution:
         graph = vocab.graph_iri(f"mashup:{signature[:12]}")
         wall = self.schedule.wall_ms(tick)
         hub_ctx = self.mappings.ontologies["hub-central"]
@@ -646,14 +618,13 @@ class Hub:
             annotated = self.interop.annotate(descriptions, hub_ctx)
             if self.interop.validate(annotated, hub_ctx).valid:
                 self.interop.synchronize(annotated, graph, wall)
-        mashup = Mashup(
-            signature,
-            capability,
-            tuple(sorted(classes)),
+        mashup = Resolution(
+            "mashup-generated",
             tuple(sorted(domains)),
+            tuple(sorted(classes)),
             object_ids,
+            signature,
             graph,
-            tick,
         )
         self._mashups[signature] = mashup
         return mashup
@@ -681,11 +652,8 @@ class Hub:
         model = self._user_models.get(user)
         if model is None:
             return self._finish(record, "failed", reason="unknown-user")
-        request = ServiceRequest(record["id"], model.user_id, capability, {}, ())
         try:
-            decision = services.evaluate_request(
-                request, model, self.repo, self.request_log
-            )
+            decision = services.evaluate_request(capability, model, self.repo)
         except UnknownCapability as exc:
             return self._finish(record, "failed", reason=str(exc))
         if not decision.approved:
@@ -712,7 +680,7 @@ class Hub:
         if result.status == "failed":
             error = result.step_outputs[result.failed_step]["error"]
             return self._finish(
-                record, "failed", reason=error, failed_step=result.failed_step
+                record, "failed", reason=error, failedStep=result.failed_step
             )
         terminal = flow.topological_order()[-1].step_id
         record["result"] = dict(result.step_outputs.get(terminal, {}))
@@ -722,8 +690,7 @@ class Hub:
         self, record: dict, outcome: str, bucket: str | None = None, **extra
     ) -> dict:
         record["outcome"] = outcome
-        for key, value in extra.items():
-            record["failedStep" if key == "failed_step" else key] = value
+        record.update(extra)
         counted = bucket or outcome
         if counted in self._resolution:
             self._resolution[counted] += 1

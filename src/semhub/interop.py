@@ -425,40 +425,22 @@ def query_signature(q: Query) -> str:
     return _canonical_query(q)[1]
 
 
-@dataclass
-class QueryLogEntry:
-    signature: str
-    query: Query
-    hit_count: int = 0
-
-
 class QueryLog:
-    """Signature-keyed log of normalized queries (queries cached, not results)."""
+    """Signature -> normalized query, the first one logged under that
+    signature (queries are cached, not results)."""
 
     def __init__(self):
-        self._entries: dict[str, QueryLogEntry] = {}
+        self._queries: dict[str, Query] = {}
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._queries)
 
-    def entries(self) -> list[QueryLogEntry]:
+    def setdefault(self, signature: str, query: Query) -> Query:
+        """The query logged under `signature`, logging `query` if none is;
+        one atomic step, so exactly one of two racing callers logs."""
         with self._lock:
-            return list(self._entries.values())
-
-    def lookup(self, signature: str) -> QueryLogEntry | None:
-        with self._lock:
-            return self._entries.get(signature)
-
-    def record(self, entry: QueryLogEntry) -> None:
-        with self._lock:
-            self._entries[entry.signature] = entry
-
-    def register_hit(self, signature: str) -> QueryLogEntry:
-        with self._lock:
-            entry = self._entries[signature]
-            entry.hit_count += 1
-            return entry
+            return self._queries.setdefault(signature, query)
 
 
 def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSet, str]:
@@ -466,17 +448,9 @@ def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSe
     otherwise normalize, log, and execute.  Results always reflect the live
     store; the caller's variable names label the columns either way."""
     normalized, signature = _canonical_query(q)
-    entry = log.lookup(signature)
-    if entry is not None:
-        log.register_hit(signature)
-        result = store.evaluate(entry.query)
-        status = "hit"
-    else:
-        entry = QueryLogEntry(signature, normalized, hit_count=1)
-        log.record(entry)
-        result = store.evaluate(normalized)
-        status = "miss-generated"
-    return BindingSet(q.select, result.rows), status
+    logged = log.setdefault(signature, normalized)
+    status = "miss-generated" if logged is normalized else "hit"
+    return BindingSet(q.select, store.evaluate(logged).rows), status
 
 
 # --- config loading ---------------------------------------------------------

@@ -214,12 +214,15 @@ class FiredRule:
 @dataclass(slots=True)
 class _Window:
     """One VO's retention window: its data graph, the retained observations
-    oldest first, and how many of them carry each value and each timestamp."""
+    oldest first, how many of them carry each value and each timestamp, and
+    the sequence and timestamp of the last observation accepted."""
 
     graph: Iri
     buffer: deque[Observation] = field(default_factory=deque)
     values: Counter[Literal] = field(default_factory=Counter)
     times: Counter[int] = field(default_factory=Counter)
+    last_seq: int | None = None
+    last_ts: int | None = None
 
 
 def _release(counts: Counter, key) -> bool:
@@ -253,8 +256,6 @@ class ObjectRegistry:
         self._cvos: dict[Iri, CompositeVO] = {}
         self._users: dict[Iri, UserModel] = {}
         self._windows: dict[Iri, _Window] = {}
-        self._last_seq: dict[Iri, int] = {}
-        self._last_ts: dict[Iri, int] = {}
         self._counts = {"observations": 0, "evicted": 0, "stale_dropped": 0}
         self._lock = threading.RLock()
 
@@ -354,22 +355,22 @@ class ObjectRegistry:
             vo = self._vos.get(obs.source)
             if vo is None:
                 raise UnknownSource(f"observation from unregistered source {obs.source}")
-            last = self._last_seq.get(obs.source)
+            window = self._windows[obs.source]
+            last = window.last_seq
             if last is not None and obs.sequence <= last:
                 self._counts["stale_dropped"] += 1
                 raise StaleSequence(
                     f"sequence {obs.sequence} not above last seen {last} for {obs.source}"
                 )
-            last_ts = self._last_ts.get(obs.source)
+            last_ts = window.last_ts
             if last_ts is not None and obs.timestamp < last_ts:
                 self._counts["stale_dropped"] += 1
                 raise StaleSequence(
                     f"timestamp {obs.timestamp} regresses below {last_ts} for {obs.source}"
                 )
-            self._last_seq[obs.source] = obs.sequence
-            self._last_ts[obs.source] = obs.timestamp
+            window.last_seq = obs.sequence
+            window.last_ts = obs.timestamp
 
-            window = self._windows[obs.source]
             window.buffer.append(obs)
             window.values[obs.value] += 1
             window.times[obs.timestamp] += 1
@@ -398,7 +399,8 @@ class ObjectRegistry:
 
     def last_sequence(self, vo_id: Iri) -> int | None:
         with self._lock:
-            return self._last_seq.get(vo_id)
+            window = self._windows.get(vo_id)
+            return window.last_seq if window else None
 
     # --- rule evaluation ------------------------------------------------
 

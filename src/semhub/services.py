@@ -1,11 +1,12 @@
-"""Service management: repository, discovery, templates, lifecycle, and
-composition-flow orchestration.
+"""Service management: repository, discovery, templates, lifecycle, request
+evaluation and composition-flow orchestration.
 
 Microservices here are in-process actors: a descriptor row in the repository
 plus a handler callable keyed by kind.  The repository is one linearizable
 registry — every transition and instantiation goes through its lock — and
 a flow runs its steps one at a time, in topological order, on the caller's
-thread.
+thread.  Evaluating a capability request keeps no state: it returns a
+Decision, and the caller keeps the only record of the request.
 """
 
 from __future__ import annotations
@@ -84,15 +85,6 @@ class MicroserviceTemplate:
 
 
 @dataclass(frozen=True)
-class ServiceRequest:
-    request_id: str
-    user_id: object
-    capability: str
-    params: Mapping[str, object] = field(default_factory=dict)
-    domains_hint: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
 class Decision:
     approved: bool
     reason: str
@@ -162,30 +154,6 @@ class FlowResult:
     step_outputs: dict[str, object]
     step_states: dict[str, str]  # completed | failed | skipped
     failed_step: str | None = None
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    request_id: str
-    user_id: str
-    capability: str
-    approved: bool
-    reason: str
-    params: Mapping[str, object]
-
-
-class RequestLog:
-    def __init__(self):
-        self._records: list[RequestRecord] = []
-        self._lock = threading.Lock()
-
-    def append(self, record: RequestRecord) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def records(self) -> list[RequestRecord]:
-        with self._lock:
-            return list(self._records)
 
 
 # --- repository -------------------------------------------------------------
@@ -457,43 +425,23 @@ class Repository:
 
 # --- request evaluation -----------------------------------------------------
 
-def evaluate_request(
-    request: ServiceRequest,
-    user: UserModel,
-    repo: Repository,
-    history: RequestLog,
-) -> Decision:
+def evaluate_request(capability: str, user: UserModel, repo: Repository) -> Decision:
     """Policy gate plus parameter layering: flow defaults, then the user's
-    namespaced preferences, then explicit request params."""
+    preferences namespaced under the capability."""
     policy = repo.policy()
-    if request.capability not in policy:
-        raise UnknownCapability(f"capability {request.capability!r} not registered")
-    flow = repo.flow_for_capability(request.capability)
+    if capability not in policy:
+        raise UnknownCapability(f"capability {capability!r} not registered")
+    flow = repo.flow_for_capability(capability)
     if flow is None:
-        raise UnknownCapability(f"no flow mapped to {request.capability!r}")
-
-    if user.access_level < policy[request.capability]:
-        decision = Decision(False, "access-level")
-    else:
-        params = dict(flow.defaults)
-        prefix = request.capability + "."
-        for key, value in sorted(user.preferences.items()):
-            if key.startswith(prefix):
-                params[key[len(prefix):]] = value
-        params.update(request.params)
-        decision = Decision(True, "approved", flow.flow_id, params)
-
-    history.append(
-        RequestRecord(
-            request_id=request.request_id,
-            user_id=str(user.user_id),
-            capability=request.capability,
-            approved=decision.approved,
-            reason=decision.reason,
-            params=decision.params,
-        )
-    )
-    return decision
+        raise UnknownCapability(f"no flow mapped to {capability!r}")
+    if user.access_level < policy[capability]:
+        return Decision(False, "access-level")
+    params = dict(flow.defaults)
+    prefix = capability + "."
+    for key, value in sorted(user.preferences.items()):
+        if key.startswith(prefix):
+            params[key[len(prefix):]] = value
+    return Decision(True, "approved", flow.flow_id, params)
 
 
 # --- orchestration ----------------------------------------------------------

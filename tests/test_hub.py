@@ -5,8 +5,10 @@ where possible; dedicated hubs are built only for fault injection and
 cache-path checks that need pristine counters.
 """
 
+import hashlib
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -139,6 +141,7 @@ def test_cross_domain_builds_then_reuses_mashup(booted):
     assert second.path == "mashup-cache-hit"
     assert second.signature == first.signature
     assert second.graph == first.graph
+    assert replace(second, path="mashup-generated") == first
 
 
 def test_cache_hit_touches_no_interop_service(booted):
@@ -293,6 +296,16 @@ def test_report_is_deterministic():
     two = second.report_json()
     second.close()
     assert one == two
+
+
+# sha256 of `hub run --seed 42` (the bundled scenario); a change that alters
+# the default report must update this deliberately.
+DEFAULT_REPORT_SHA256 = "834138f0d04b4f0735eef03533573f3db8712c556e6bf4e4ef62acacbc5d0c8f"
+
+
+def test_default_report_bytes_are_pinned():
+    text = json.dumps(run_scenario(), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_zero_duration_report_is_all_zero():

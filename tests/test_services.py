@@ -30,8 +30,6 @@ from semhub.services import (
     MicroserviceTemplate,
     ParamSpec,
     Repository,
-    RequestLog,
-    ServiceRequest,
     evaluate_request,
     load_default_services,
     orchestrate,
@@ -446,44 +444,21 @@ def gated_repo():
 
 def test_request_approved_at_exact_level():
     repo = gated_repo()
-    log = RequestLog()
-    decision = evaluate_request(
-        ServiceRequest("r1", "alice", "analytics.demo"), user(level=2), repo, log
-    )
+    decision = evaluate_request("analytics.demo", user(level=2), repo)
     assert decision.approved and decision.flow_id == "flow-w"
     assert decision.params == {"windowMinutes": 15}
 
 
 def test_request_denied_below_level():
     repo = gated_repo()
-    log = RequestLog()
-    decision = evaluate_request(
-        ServiceRequest("r1", "alice", "analytics.demo"), user(level=1), repo, log
-    )
+    decision = evaluate_request("analytics.demo", user(level=1), repo)
     assert decision == Decision(False, "access-level")
-
-
-def test_denials_and_approvals_both_logged():
-    repo = gated_repo()
-    log = RequestLog()
-    evaluate_request(
-        ServiceRequest("r1", "a", "analytics.demo"), user(level=0), repo, log
-    )
-    evaluate_request(
-        ServiceRequest("r2", "a", "analytics.demo"), user(level=3), repo, log
-    )
-    records = log.records()
-    assert [r.approved for r in records] == [False, True]
-    assert records[0].reason == "access-level"
-    assert records[0].request_id == "r1"
 
 
 def test_unknown_capability_raises():
     repo = gated_repo()
     with pytest.raises(UnknownCapability):
-        evaluate_request(
-            ServiceRequest("r1", "a", "analytics.mystery"), user(), repo, RequestLog()
-        )
+        evaluate_request("analytics.mystery", user(), repo)
 
 
 def test_preferences_override_flow_defaults():
@@ -492,25 +467,8 @@ def test_preferences_override_flow_defaults():
         "analytics.demo.windowMinutes": "30",
         "analytics.other.windowMinutes": "99",  # different capability: ignored
     }
-    decision = evaluate_request(
-        ServiceRequest("r1", "a", "analytics.demo"),
-        user(level=2, prefs=prefs),
-        repo,
-        RequestLog(),
-    )
+    decision = evaluate_request("analytics.demo", user(level=2, prefs=prefs), repo)
     assert decision.params == {"windowMinutes": "30"}
-
-
-def test_request_params_override_preferences():
-    repo = gated_repo()
-    prefs = {"analytics.demo.windowMinutes": "30"}
-    decision = evaluate_request(
-        ServiceRequest("r1", "a", "analytics.demo", {"windowMinutes": 45}),
-        user(level=2, prefs=prefs),
-        repo,
-        RequestLog(),
-    )
-    assert decision.params == {"windowMinutes": 45}
 
 
 def test_access_monotonicity():
@@ -523,10 +481,7 @@ def test_access_monotonicity():
     for capability in ("analytics.demo", "analytics.low"):
         verdicts = []
         for level in range(4):
-            decision = evaluate_request(
-                ServiceRequest("r", "a", capability), user(level=level),
-                repo, RequestLog(),
-            )
+            decision = evaluate_request(capability, user(level=level), repo)
             verdicts.append(decision.approved)
         # once approved, stays approved at every higher level
         first_true = verdicts.index(True)
