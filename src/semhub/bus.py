@@ -6,9 +6,14 @@ subscription is exactly publish order.  Time is simulated — `advance()` moves
 the clock and processes due redeliveries — which makes the fault-injection
 tests deterministic and instant.
 
+Payloads are in-process values that the broker never reads: a subscriber
+receives the very object the publisher handed over, so typed values (such as
+observations) travel without an encode/decode round trip.
+
 Faults are opt-in: a seeded injector can drop delivery attempts and acks.
-QoS 0 takes one attempt, QoS 1 retries on a fixed interval and dead-letters
-to ``$dead/<topic>`` when the retry budget runs out.
+QoS 0 takes one attempt, QoS 1 retries every ``RETRY_INTERVAL_MS`` and
+dead-letters to ``$dead/<topic>``, payload unchanged, once ``MAX_RETRIES``
+retries have run out.
 """
 
 from __future__ import annotations
@@ -90,8 +95,11 @@ class TopicFilter:
 
 @dataclass(frozen=True)
 class Message:
+    """One publication.  The payload is any value; the broker passes it to
+    subscribers, and to the dead-letter topic, unchanged and unread."""
+
     topic: Topic
-    payload: bytes
+    payload: object
     qos: int = 0
     message_id: int | None = None
 
@@ -104,7 +112,7 @@ class Message:
 class Delivery:
     subscription_id: int
     topic: Topic
-    payload: bytes
+    payload: object
     qos: int
     message_id: int | None
     duplicate: bool
@@ -152,15 +160,8 @@ class _Subscription:
 
 
 class Broker:
-    def __init__(
-        self,
-        faults: FaultInjector | None = None,
-        retry_interval_ms: int = RETRY_INTERVAL_MS,
-        max_retries: int = MAX_RETRIES,
-    ):
+    def __init__(self, faults: FaultInjector | None = None):
         self.faults = faults or FaultInjector()
-        self.retry_interval_ms = retry_interval_ms
-        self.max_retries = max_retries
         self.now_ms = 0
         self._subscriptions: dict[int, _Subscription] = {}
         self._next_sid = 1
@@ -297,13 +298,13 @@ class Broker:
                 sub.outbox.pop(0)
                 self.stats["acked"] += 1
                 return "acked"
-        if pending.attempts > self.max_retries:
+        if pending.attempts > MAX_RETRIES:
             sub.outbox.pop(0)
             self.stats["dead_lettered"] += 1
             dead_topic = Topic((DEAD_LETTER_ROOT,) + message.topic.segments)
             self.publish(Message(dead_topic, message.payload, 0), publisher="$broker")
             return "disposed"
-        pending.next_attempt_ms = self.now_ms + self.retry_interval_ms
+        pending.next_attempt_ms = self.now_ms + RETRY_INTERVAL_MS
         return "pending"
 
     def _pump(self, sub: _Subscription) -> int:
@@ -368,7 +369,7 @@ class Broker:
         while self.pending_count():
             if self.now_ms - start > max_ms:
                 raise BrokerDown("run_until_idle exceeded time budget")
-            self.advance(self.retry_interval_ms)
+            self.advance(RETRY_INTERVAL_MS)
         return self.now_ms - start
 
     def pending_count(self) -> int:

@@ -38,7 +38,7 @@ from .analytics import (
     build_location_features,
     load_analyzer_configs,
 )
-from .bus import Broker, Delivery
+from .bus import Broker, Delivery, Message, Topic
 from .errors import (
     MalformedScenario,
     StaleSequence,
@@ -242,16 +242,14 @@ class Hub:
         self.repo = Repository()
         self.reasoning = ReasoningService(self.registry, load_default_programs())
         self.analytics = AnalyticsService()
+        self.mappings = load_mapping_dir(DATA_DIR / "mappings")
+        central = self.mappings.ontologies["hub-central"]
+        functional = [p for p, spec in central.predicates.items() if spec.functional]
         # The hub facade serves resolution and ad-hoc queries; the medical
         # facility's facade carries its routine batch pipeline.  Separate
         # counter sets make "a cache hit touched nothing" checkable.
-        self.interop = InteropServices(
-            self.store, Synchronizer(self.store, functional=(vocab.PATIENT_ID,))
-        )
-        self.med_interop = InteropServices(
-            self.store, Synchronizer(self.store, functional=(vocab.PATIENT_ID,))
-        )
-        self.mappings = load_mapping_dir(DATA_DIR / "mappings")
+        self.interop = InteropServices(self.store, Synchronizer(self.store, functional))
+        self.med_interop = InteropServices(self.store, Synchronizer(self.store, functional))
         self._domain_order = tuple(sorted(SENSORS))
         self.simulators = {
             domain: DomainSimulator(
@@ -430,15 +428,8 @@ class Hub:
     # --- bus callbacks --------------------------------------------------
 
     def _on_observation(self, delivery: Delivery) -> None:
-        doc = json.loads(bytes(delivery.payload).decode("utf-8"))
-        obs = Observation(
-            source=Iri(doc["vo"]),
-            timestamp=int(doc["ts"]),
-            value=Literal(doc["value"]["lexical"], doc["value"]["datatype"]),
-            sequence=int(doc["seq"]),
-        )
         try:
-            self.registry.ingest(obs)
+            self.registry.ingest(delivery.payload)
         except StaleSequence:
             with self._metrics_lock:
                 self._ingest_rejected += 1
@@ -449,9 +440,7 @@ class Hub:
             self._alerts[topic] = self._alerts.get(topic, 0) + 1
 
     def _publish_event(self, topic: str, payload: Mapping) -> None:
-        self.broker.publish_text(
-            topic, json.dumps(payload, sort_keys=True), qos=1, publisher="cvo"
-        )
+        self.broker.publish(Message(Topic.parse(topic), payload, qos=1), publisher="cvo")
 
     # --- tick loop ------------------------------------------------------
 
@@ -478,18 +467,10 @@ class Hub:
         for domain in self._domain_order:
             emissions, records = self.simulators[domain].emit(tick)
             for e in emissions:
-                payload = json.dumps(
-                    {
-                        "seq": e.sequence,
-                        "ts": e.timestamp,
-                        "value": {"datatype": e.value.datatype, "lexical": e.value.lexical},
-                        "vo": self._vo_index[(domain, e.sensor, e.user)].value,
-                    },
-                    sort_keys=True,
-                )
-                self.broker.publish_text(
-                    f"obs/{domain}/{e.sensor}/{e.user}", payload, qos=0, publisher=domain
-                )
+                vo_id = self._vo_index[(domain, e.sensor, e.user)]
+                obs = Observation(vo_id, e.timestamp, e.value, e.sequence)
+                topic = Topic.parse(f"obs/{domain}/{e.sensor}/{e.user}")
+                self.broker.publish(Message(topic, obs), publisher=domain)
             if records:
                 self._med_pending.extend(records)
         self.broker.advance(self.schedule.tick_ms)
@@ -532,17 +513,27 @@ class Hub:
         self._med_pending = []
         if records:
             self._last_batch = records
-        cfg = self.mappings
-        triples = self.med_interop.translate(records, cfg.translations["medical-vitals"])
-        annotated = self.med_interop.annotate(triples, cfg.ontologies["medical"])
-        aligned = self.med_interop.align(annotated, cfg.alignments["medical-to-hub"])
-        report = self.med_interop.validate(aligned, cfg.ontologies["hub-central"])
+        valid = self._sync_vitals(self.med_interop, records, CENTRAL_VITALS_GRAPH, wall)
         self._validation["batches"] += 1
-        if report.valid:
-            self.med_interop.synchronize(aligned, CENTRAL_VITALS_GRAPH, wall)
-            self._validation["valid"] += 1
-        else:
-            self._validation["invalid"] += 1
+        self._validation["valid" if valid else "invalid"] += 1
+
+    def _sync_vitals(
+        self,
+        facade: InteropServices,
+        records: Sequence[RelationalRecord],
+        graph: Iri,
+        wall: int,
+    ) -> bool:
+        """Translate, annotate, align and validate relational vitals rows,
+        and synchronize them into `graph` when valid; returns the validity."""
+        cfg = self.mappings
+        triples = facade.translate(records, cfg.translations["medical-vitals"])
+        annotated = facade.annotate(triples, cfg.ontologies["medical"])
+        aligned = facade.align(annotated, cfg.alignments["medical-to-hub"])
+        valid = facade.validate(aligned, cfg.ontologies["hub-central"]).valid
+        if valid:
+            facade.synchronize(aligned, graph, wall)
+        return valid
 
     # --- resolution -----------------------------------------------------
 
@@ -599,17 +590,7 @@ class Hub:
         object_ids = self._contributors(classes, domains)
         for domain in sorted(domains):
             if domain == MEDICAL:
-                triples = self.interop.translate(
-                    self._last_batch, self.mappings.translations["medical-vitals"]
-                )
-                annotated = self.interop.annotate(
-                    triples, self.mappings.ontologies["medical"]
-                )
-                aligned = self.interop.align(
-                    annotated, self.mappings.alignments["medical-to-hub"]
-                )
-                if self.interop.validate(aligned, hub_ctx).valid:
-                    self.interop.synchronize(aligned, graph, wall)
+                self._sync_vitals(self.interop, self._last_batch, graph, wall)
             descriptions: list[Triple] = []
             for vo_id in object_ids:
                 vo = self.registry.vo(vo_id)

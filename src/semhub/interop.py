@@ -278,6 +278,9 @@ class SyncSummary:
     skew_rejected: int = 0
 
 
+SKEW_WINDOW_MS = 300_000
+
+
 class Synchronizer:
     """Merge incoming batches into central graphs.
 
@@ -288,15 +291,9 @@ class Synchronizer:
     the batch would lose the rest of it.
     """
 
-    def __init__(
-        self,
-        store: GraphStore,
-        functional: Iterable[Iri] = (),
-        skew_window_ms: int = 300_000,
-    ):
+    def __init__(self, store: GraphStore, functional: Iterable[Iri] = ()):
         self._store = store
         self._functional = frozenset(functional)
-        self._skew_window_ms = skew_window_ms
         self._lock = threading.Lock()
         # (central graph, subject, predicate) -> (current object, batch ts)
         self._state: dict[tuple[Iri, Iri, Iri], tuple[Term, int]] = {}
@@ -336,7 +333,7 @@ class Synchronizer:
                     summary.superseded += 1
                 else:
                     summary.unchanged += 1
-                    if ts - observed_at_ms > self._skew_window_ms:
+                    if ts - observed_at_ms > SKEW_WINDOW_MS:
                         summary.skew_rejected += 1
         return summary
 

@@ -6,10 +6,10 @@ semi-naively: after the first full round, each rule only joins against the
 facts that appeared in the previous round.
 
 On top of it sit three data-driven-free reasoners — activity, location and
-physio status.  Each one summarizes a user's recent observations into a
-scratch graph (window aggregates such as max motion or mean heart rate),
-runs its bundled rule program over that graph, and publishes the derived
-facts into its output graph, replacing the user's previous facts.
+physio status.  Each one summarizes a user's recent observations as window
+aggregates (such as max motion or mean heart rate), runs its bundled rule
+program over them in a private store, and publishes the derived facts into
+its output graph, replacing the user's previous facts.
 """
 
 from __future__ import annotations
@@ -185,6 +185,21 @@ def infer_fixpoint(store: GraphStore, prog: RuleProgram) -> InferenceResult:
     return InferenceResult(derived, iterations, fired)
 
 
+_FACTS_IN = Iri("urn:sem:graph:__facts_in__")
+_FACTS_OUT = Iri("urn:sem:graph:__facts_out__")
+
+
+def _derive(
+    name: str, rules: Sequence[InferenceRule], facts: Sequence[Triple]
+) -> list[Triple]:
+    """The facts `rules` derive from `facts`, evaluated in a private store so
+    no caller's store ever holds the inputs."""
+    store = GraphStore()
+    store.insert_all(_FACTS_IN, facts)
+    prog = RuleProgram(name, tuple(rules), frozenset([_FACTS_IN]), _FACTS_OUT)
+    return infer_fixpoint(store, prog).derived
+
+
 # --- rule file loading ------------------------------------------------------
 
 def rules_from_json(doc: Mapping) -> list[InferenceRule]:
@@ -226,7 +241,12 @@ def _in_window(obs: Observation, start: int, end: int) -> bool:
 
 
 class ReasoningService:
-    """Activity, location and physio-status reasoning over live observations."""
+    """Activity, location and physio-status reasoning over live observations.
+
+    A run evaluates its rules in a private store and writes to the shared
+    store only its result: it clears the user's previous fact and, unless
+    the derivation is ambiguous, inserts the derived facts into the output
+    graph.  A concurrent reader never sees a run's inputs."""
 
     FACT_PREDICATE = {
         "activity": vocab.CURRENT_ACTIVITY,
@@ -273,44 +293,32 @@ class ReasoningService:
         out.sort(key=lambda o: (o.timestamp, o.source.value, o.sequence))
         return out
 
-    def _scratch_graph(self, name: str, user: Iri) -> Iri:
-        return vocab.graph_iri(f"scratch:{name}:{user.value}")
-
     def output_graph(self, name: str) -> Iri:
         return vocab.graph_iri(f"derived:{name}")
 
     def _run(self, name: str, user: Iri, facts: list[Triple]) -> list[Triple]:
-        scratch = self._scratch_graph(name, user)
         out = self.output_graph(name)
         fact_predicate = self.FACT_PREDICATE[name]
         with self._lock:
             self.counters[name] += 1
-            self.store.clear_graph(scratch)
+            self._clear_user_facts(out, user, fact_predicate)
             if not facts:
-                self._clear_user_facts(out, user, fact_predicate)
                 return []
-            try:
-                self.store.insert_all(scratch, facts)
-                prog = RuleProgram(name, self.programs[name], frozenset([scratch]), out)
-                self._clear_user_facts(out, user, fact_predicate)
-                result = infer_fixpoint(self.store, prog)
-            finally:
-                self.store.clear_graph(scratch)
+            derived = _derive(name, self.programs[name], facts)
             statuses = {
                 t.object
-                for t in result.derived
+                for t in derived
                 if t.subject == user and t.predicate == fact_predicate
             }
             if len(statuses) > 1:
-                for t in result.derived:
-                    self.store.remove(out, t)
                 names = ", ".join(sorted(serialize_term(s) for s in statuses))
                 if name == "activity":
                     raise AmbiguousActivity(f"multiple activities derived: {names}")
                 if name == "physio-status":
                     raise AmbiguousStatus(f"multiple statuses derived: {names}")
                 raise AmbiguousDerivation(f"multiple {name} facts derived: {names}")
-            return result.derived
+            self.store.insert_all(out, derived)
+            return derived
 
     def _clear_user_facts(self, graph: Iri, user: Iri, predicate: Iri) -> None:
         for t in self.store.triples(graph):
@@ -382,15 +390,9 @@ _CHECK_USER = Iri("urn:sem:user:__exclusion_check__")
 def _derivable_facts(
     rules: Sequence[InferenceRule], facts: list[Triple], predicate: Iri
 ) -> set[Term]:
-    store = GraphStore()
-    scratch = Iri("urn:sem:graph:__check_in__")
-    out = Iri("urn:sem:graph:__check_out__")
-    store.insert_all(scratch, facts)
-    prog = RuleProgram("check", tuple(rules), frozenset([scratch]), out)
-    result = infer_fixpoint(store, prog)
     return {
         t.object
-        for t in result.derived
+        for t in _derive("check", rules, facts)
         if t.subject == _CHECK_USER and t.predicate == predicate
     }
 

@@ -521,11 +521,6 @@ class GraphStore:
                     added += 1
         return added
 
-    def clear_graph(self, graph: Iri) -> None:
-        with self._lock:
-            self._graphs.pop(graph, None)
-            self._indexes.pop(graph, None)
-
     def graphs(self) -> list[Iri]:
         with self._lock:
             return sorted(self._graphs)

@@ -40,7 +40,7 @@ _LEGAL_EDGES = {
     (HALTED, RUNNING),
 }
 
-DEFAULT_HALT_THRESHOLD = 64
+HALT_THRESHOLD = 64
 
 _PARAM_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool}
 
@@ -164,8 +164,7 @@ Handler = Callable[[MicroserviceDescriptor, dict], dict]
 class Repository:
     """Linearizable registry of descriptors, templates, flows and policy."""
 
-    def __init__(self, halt_threshold: int = DEFAULT_HALT_THRESHOLD):
-        self.halt_threshold = halt_threshold
+    def __init__(self):
         self._descriptors: dict[str, MicroserviceDescriptor] = {}
         self._templates: dict[str, MicroserviceTemplate] = {}
         self._templates_by_kind: dict[str, list[str]] = {}
@@ -388,7 +387,7 @@ class Repository:
                 idle = [d for d in instances if d.state == HALTED]
 
                 overloaded = sorted(
-                    (d for d in running if d.load_queue_depth > self.halt_threshold),
+                    (d for d in running if d.load_queue_depth > HALT_THRESHOLD),
                     key=lambda d: (-d.load_queue_depth, d.id),
                 )
                 for d in overloaded:
@@ -401,7 +400,7 @@ class Repository:
 
                 if not idle:
                     continue
-                resume_floor = self.halt_threshold / 2
+                resume_floor = HALT_THRESHOLD / 2
                 if not running:
                     # availability floor: bring one back regardless of load
                     d = min(idle, key=lambda d: (d.load_queue_depth, d.id))

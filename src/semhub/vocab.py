@@ -71,9 +71,5 @@ PATIENT_ID = Iri(NS + "patientId")
 # medical facility's local vocabulary (pre-alignment)
 MED_NS = "urn:med:"
 MED_HR = Iri(MED_NS + "hr")
-MED_SYS = Iri(MED_NS + "sys")
-MED_DIA = Iri(MED_NS + "dia")
-MED_RECORDED_AT = Iri(MED_NS + "recordedAt")
-MED_PATIENT_ID = Iri(MED_NS + "patientId")
 MED_PATIENT = Iri(MED_NS + "class:Patient")
 MED_VITALS_RECORD = Iri(MED_NS + "class:VitalsRecord")

@@ -13,7 +13,8 @@ from dataclasses import replace
 import pytest
 
 from semhub import hub as hubmod
-from semhub import vocab
+from semhub import reasoning, vocab
+from semhub.bus import Message, Topic
 from semhub.errors import UnknownCapability, UnsatisfiableRequirement
 from semhub.hub import (
     FaultEvent,
@@ -24,7 +25,8 @@ from semhub.hub import (
     mashup_signature,
     run_scenario,
 )
-from semhub.semantic import Iri, Triple
+from semhub.objects import Observation
+from semhub.semantic import integer
 
 SHORT = ScenarioConfig(
     duration_ticks=150,
@@ -247,6 +249,19 @@ def test_observations_flowed_over_the_bus(ran):
     assert report["objects"]["ingestRejected"] == 0
 
 
+def test_step_publishes_typed_observations(booted):
+    seen = []
+    booted.broker.subscribe("spy", "obs/#", qos=0, callback=seen.append)
+    booted._step(0, (), ())
+    assert seen
+    for delivery in seen:
+        _, domain, sensor, user = delivery.topic.segments
+        obs = delivery.payload
+        assert isinstance(obs, Observation)
+        assert obs.source == booted._vo_index[(domain, sensor, user)]
+        assert obs in booted.registry.buffered(obs.source)
+
+
 def test_medical_batches_validated_and_synchronized(ran):
     report = ran.report()
     # ticks 0..149 -> batches at 30, 60, 90, 120
@@ -355,20 +370,29 @@ def test_fan_out_flow_starts_no_thread(booted, monkeypatch):
         assert (record["outcome"], record["path"]) == ("completed", path)
 
 
+def test_reasoning_adds_no_graph_to_the_shared_store(booted, monkeypatch):
+    motion = booted._vo_index[("smart-home", "motion", "alice")]
+    booted.registry.ingest(Observation(motion, booted.schedule.wall_ms(0), integer(5), 1))
+    before = set(booted.store.graphs())
+    during = []
+    infer_fixpoint = reasoning.infer_fixpoint
+
+    def spy(store, prog):
+        during.append(set(booted.store.graphs()))
+        return infer_fixpoint(store, prog)
+
+    monkeypatch.setattr(reasoning, "infer_fixpoint", spy)
+    record = booted.submit_request("reason.activity", "alice", 0)
+    assert record["outcome"] == "completed"
+    assert during and all(graphs <= before for graphs in during)
+
+
 # --- composite-object rules -------------------------------------------------
 
 def test_cvo_rule_fires_and_publishes_alert(booted):
     vo_id = booted._vo_index[("smart-home", "motion", "alice")]
-    payload = json.dumps(
-        {
-            "seq": 1,
-            "ts": booted.schedule.wall_ms(1),
-            "value": {"datatype": "integer", "lexical": "42"},
-            "vo": vo_id.value,
-        },
-        sort_keys=True,
-    )
-    booted.broker.publish_text("obs/smart-home/motion/alice", payload, qos=0)
+    obs = Observation(vo_id, booted.schedule.wall_ms(1), integer(42), 1)
+    booted.broker.publish(Message(Topic.parse("obs/smart-home/motion/alice"), obs))
     booted._evaluate_cvos()
     assert booted._rule_firings["urn:sem:cvo:home-comfort"] == 1
     assert booted._alerts.get("cvo/home-comfort/events") == 1

@@ -283,7 +283,7 @@ G2 = Iri("urn:t:graph:g2")
 @pytest.mark.parametrize("seed", range(8))
 def test_cached_indexes_follow_writes(seed):
     """Every write between evaluations is seen: per-graph indexes cached by
-    one evaluation are dropped by the next insert, remove or clear."""
+    one evaluation are dropped by the next insert or remove."""
     rng = random.Random(seed)
     pool, _ = random_store_and_query(rng)
     triples = [t for ts in pool.values() for t in ts]
@@ -296,13 +296,10 @@ def test_cached_indexes_follow_writes(seed):
             t = rng.choice(triples)
             store.insert(g, t)
             model.setdefault(g, {})[t] = None
-        elif op < 0.9:
+        else:
             t = rng.choice(list(model.get(g, ())) or triples)
             store.remove(g, t)
             model.get(g, {}).pop(t, None)
-        else:
-            store.clear_graph(g)
-            model.pop(g, None)
         for name in (G1, G2):
             assert store.snapshot([name]).triples == list(model.get(name, ()))
         _, q = random_store_and_query(rng)
@@ -325,7 +322,7 @@ def test_snapshot_unchanged_by_later_writes():
     assert store.snapshot([G1]).triples == [b]
     store.insert(G1, c)
     assert store.snapshot([G1]).triples == [b, c]
-    store.clear_graph(G2)
+    store.remove(G2, c)
     assert store.snapshot([G2]).triples == []
     assert len(one) == 2 and a in one and b in one and c not in one
     assert len(both) == 3 and all(t in both for t in (a, b, c))

@@ -36,8 +36,8 @@ from semhub.services import (
 )
 
 
-def make_repo(**kwargs) -> Repository:
-    repo = Repository(**kwargs)
+def make_repo() -> Repository:
+    repo = Repository()
     repo.add_template(
         MicroserviceTemplate(
             "tpl-worker",
