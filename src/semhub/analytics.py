@@ -77,18 +77,6 @@ def _window_values(events: Sequence[Event], start: int, end: int) -> list[float]
     return [float(v) for ts, v in events if start <= ts <= end]
 
 
-def build_activity_features(
-    activity_events: Sequence[Event], motion: Sequence[Event], t: int
-) -> FeatureVector:
-    pairs = _clock_features(t)
-    run = _trailing_run(activity_events)
-    pairs.append(("previous-activity", "none" if run is None else str(run[0])))
-    counts = _window_values(motion, t - 60 * MINUTE_MS, t)
-    mean = sum(counts) / len(counts) if counts else 0.0
-    pairs.append(("mean-motion-60min", mean))
-    return feature_vector(pairs)
-
-
 def build_physio_features(
     heart_rate: Sequence[Event],
     systolic: Sequence[Event],

@@ -107,7 +107,7 @@ def main(argv=None) -> int:
         try:
             query_doc = json.loads(Path(args.file).read_text(encoding="utf-8"))
             query_from_json(query_doc)
-        except (OSError, ValueError, HubError) as exc:
+        except (OSError, ValueError, RecursionError, HubError) as exc:
             parser.exit(2, f"{parser.prog}: error: query file {args.file}: {exc}\n")
     hub = Hub(cfg)
     try:

@@ -27,6 +27,10 @@ class MalformedQuery(HubError):
     """A query document whose fields do not have the expected JSON shape."""
 
 
+class BindingLimitExceeded(HubError):
+    """A join that would hold more intermediate bindings than the store allows."""
+
+
 # --- object layer -----------------------------------------------------------
 
 class DuplicateId(HubError):

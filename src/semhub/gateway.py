@@ -63,7 +63,10 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(f"body ended after {len(raw)} of the {length} bytes in Content-Length")
         if not raw:
             return {}
-        doc = json.loads(raw.decode("utf-8"))
+        try:
+            doc = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError("body is nested too deeply to decode") from None
         if not isinstance(doc, dict):
             raise ValueError("request body must be a JSON object")
         return doc

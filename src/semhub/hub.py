@@ -28,16 +28,12 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import services, vocab
-from .analytics import (
-    AnalyticsService,
-    build_activity_features,
-    build_location_features,
-    load_analyzer_configs,
-)
+from .analytics import AnalyticsService, build_location_features, load_analyzer_configs
 from .bus import Broker, Delivery, Message, Topic
 from .errors import (
     MalformedScenario,
@@ -116,9 +112,19 @@ CAPABILITY_CLASSES: dict[str, tuple[str, ...]] = {
     "analytics.activity-physio-correlation": ("MotionSensor", "VitalsSensor"),
 }
 
+# flow kind -> (reasoner, key of the derived label in the step's output)
+REASONERS: dict[str, tuple[str, str]] = {
+    "reason.activity": ("activity", "activity"),
+    "reason.location": ("location", "zone"),
+    "reason.physio": ("physio-status", "status"),
+}
+
 CENTRAL_VITALS_GRAPH = vocab.graph_iri("central:vitals")
 
 MINUTE_MS = 60_000
+
+# The smallest training part of a split: the bundled k-NN analyzers use k = 5.
+MIN_TRAINING_INSTANCES = 5
 
 
 # --- scenario configuration -------------------------------------------------
@@ -155,9 +161,36 @@ class ScenarioConfig:
     faults: tuple[FaultEvent, ...] = ()
 
     def __post_init__(self):
+        """Refuse values the run cannot use, naming the scenario key."""
         if self.duration_ticks < 0:
             raise MalformedScenario(
                 f"durationTicks must not be negative, got {self.duration_ticks}"
+            )
+        for key, interval in (
+            ("cvoRuleInterval", self.cvo_rule_interval),
+            ("medicalBatchInterval", self.medical_batch_interval),
+            ("monitorInterval", self.monitor_interval),
+        ):
+            if interval < 1:
+                raise MalformedScenario(f"{key} must be at least 1, got {interval}")
+        if not 0 <= self.noise_rate <= 1:
+            raise MalformedScenario(f"noiseRate must be within [0, 1], got {self.noise_rate}")
+        if not 0 < self.holdout < 1:
+            raise MalformedScenario(f"holdout must be within (0, 1), got {self.holdout}")
+        if not self.users:
+            raise MalformedScenario("users must name at least one user")
+        for name, level in sorted(self.users.items()):
+            if not 0 <= level <= 3:
+                raise MalformedScenario(
+                    f"users: level of {name!r} must be within 0..3, got {level}"
+                )
+        train, held = chronological_split(range(self.train_instances), self.holdout)
+        if len(train) < MIN_TRAINING_INSTANCES or not held:
+            raise MalformedScenario(
+                f"trainInstances {self.train_instances} splits into {len(train)} "
+                f"training and {len(held)} holdout instances at holdout "
+                f"{self.holdout}; training needs {MIN_TRAINING_INSTANCES} and "
+                "holdout at least 1"
             )
 
     def check_tick(self, tick: int) -> None:
@@ -201,7 +234,7 @@ def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
         return ScenarioConfig.from_json(json.loads(p.read_text(encoding="utf-8")))
     except KeyError as exc:
         raise MalformedScenario(f"scenario {p}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedScenario(f"scenario {p}: {exc}") from exc
 
 
@@ -294,7 +327,7 @@ class Hub:
 
     # --- boot ----------------------------------------------------------
 
-    def boot(self, train: bool | None = None) -> "Hub":
+    def boot(self) -> "Hub":
         if self._booted:
             return self
         self._booted = True
@@ -309,7 +342,7 @@ class Hub:
             if not self.repo.discover(kind):
                 self.repo.instantiate(kind)
         self._boot_ids = {d.id for d in self.repo.descriptors()}
-        if train if train is not None else self.config.duration_ticks > 0:
+        if self.config.duration_ticks > 0:
             self._train_models()
         return self
 
@@ -401,11 +434,9 @@ class Hub:
         return kinds
 
     def _register_handlers(self) -> None:
-        self.repo.register_handler("reason.activity", self._h_reason_activity)
-        self.repo.register_handler("reason.location", self._h_reason_location)
-        self.repo.register_handler("reason.physio", self._h_reason_physio)
+        for kind, (name, key) in REASONERS.items():
+            self.repo.register_handler(kind, partial(self._h_reason, name, key))
         self.repo.register_handler("analytics.location", self._h_analytics_location)
-        self.repo.register_handler("analytics.activity", self._h_analytics_activity)
         self.repo.register_handler("analytics.physio", self._h_analytics_physio)
         self.repo.register_handler("mashup.builder", self._h_mashup_builder)
 
@@ -680,42 +711,21 @@ class Hub:
 
     # --- capability handlers --------------------------------------------
 
-    def _reason_window(self, inputs: Mapping) -> tuple[Iri, tuple[int, int]]:
-        user = vocab.user_iri(str(inputs["user"]))
+    def _h_reason(self, name: str, key: str, descriptor, inputs: Mapping) -> Mapping:
+        """Run reasoner `name` over the request's window; `key` carries the
+        derived fact's local name or lexical form, or "none"."""
         wall = int(inputs["wall"])
-        minutes = int(inputs.get("windowMinutes") or 30)
-        return user, (wall - minutes * MINUTE_MS, wall)
-
-    def _count_derived(self, facts: Sequence[Triple]) -> None:
+        window = (wall - int(inputs.get("windowMinutes") or 30) * MINUTE_MS, wall)
+        facts = self.reasoning.run(name, vocab.user_iri(str(inputs["user"])), window)
         with self._metrics_lock:
             self._derived_total += len(facts)
-
-    @staticmethod
-    def _fact_label(facts: Sequence[Triple], predicate: Iri) -> str:
+        predicate = ReasoningService.FACT_PREDICATE[name]
         for t in facts:
             if t.predicate == predicate:
                 if isinstance(t.object, Iri):
-                    return t.object.value.rsplit(":", 1)[-1]
-                return t.object.lexical
-        return "none"
-
-    def _h_reason_activity(self, descriptor, inputs: Mapping) -> Mapping:
-        user, window = self._reason_window(inputs)
-        facts = self.reasoning.run("activity", user, window)
-        self._count_derived(facts)
-        return {"activity": self._fact_label(facts, vocab.CURRENT_ACTIVITY)}
-
-    def _h_reason_location(self, descriptor, inputs: Mapping) -> Mapping:
-        user, window = self._reason_window(inputs)
-        facts = self.reasoning.run("location", user, window)
-        self._count_derived(facts)
-        return {"zone": self._fact_label(facts, vocab.IN_ZONE)}
-
-    def _h_reason_physio(self, descriptor, inputs: Mapping) -> Mapping:
-        user, window = self._reason_window(inputs)
-        facts = self.reasoning.run("physio-status", user, window)
-        self._count_derived(facts)
-        return {"status": self._fact_label(facts, vocab.PHYSIO_STATUS)}
+                    return {key: t.object.value.rsplit(":", 1)[-1]}
+                return {key: t.object.lexical}
+        return {key: "none"}
 
     def _events(self, domain: str, sensor: str, user: str) -> list[tuple[int, str]]:
         vo_id = self._vo_index[(domain, sensor, user)]
@@ -740,17 +750,6 @@ class Hub:
         if inputs.get("zone") is not None:
             out["reasonedZone"] = str(inputs["zone"])
         return out
-
-    def _h_analytics_activity(self, descriptor, inputs: Mapping) -> Mapping:
-        user = str(inputs["user"])
-        wall = int(inputs["wall"])
-        current = self._current_activity(user)
-        history = [] if current == "none" else [(wall, current)]
-        motion = [(ts, float(v)) for ts, v in self._events(SMART_HOME, "motion", user)]
-        prediction = self.analytics.predict_for(
-            "activity", build_activity_features(history, motion, wall)
-        )
-        return {"activity": prediction.label, "model": prediction.model_id}
 
     def _h_analytics_physio(self, descriptor, inputs: Mapping) -> Mapping:
         user = str(inputs["user"])

@@ -33,9 +33,12 @@ from .semantic import (
     TriplePattern,
     Triple,
     Variable,
+    distinct_rows,
+    instantiate,
     integer,
-    serialize_term,
+    pattern_variables,
     solve,
+    sorted_rows,
 )
 
 DOMAINS = ("smart-home", "medical-facility", "smart-office")
@@ -145,34 +148,23 @@ class Rule:
     action: Action
 
     def __post_init__(self):
-        bound: set[Variable] = set()
-        for p in self.condition:
-            bound.update(p.variables())
+        bound = set(self.condition_variables())
         for f in self.filters:
             if f.var not in bound:
                 raise ActionFailure(self.id, f"filter variable {f.var} unbound")
-        used: set[Variable] = set()
         if isinstance(self.action, AssertTriples):
-            for s, p, o in self.action.templates:
-                for term in (s, p, o):
-                    if isinstance(term, Variable):
-                        used.add(term)
+            used = _template_variables(self.action.templates)
         elif isinstance(self.action, PublishMessage):
-            used |= _template_variables(self.action.topic)
-            used |= _template_variables(dict(self.action.payload))
+            used = _template_variables([self.action.topic, dict(self.action.payload)])
         else:
-            used |= _template_variables(dict(self.action.params))
+            used = _template_variables(dict(self.action.params))
         loose = used - bound
         if loose:
             names = ", ".join(sorted(f"?{v.name}" for v in loose))
             raise ActionFailure(self.id, f"action references unbound {names}")
 
     def condition_variables(self) -> tuple[Variable, ...]:
-        seen: dict[Variable, None] = {}
-        for p in self.condition:
-            for v in p.variables():
-                seen.setdefault(v)
-        return tuple(seen)
+        return pattern_variables(self.condition)
 
 
 @dataclass(frozen=True)
@@ -415,18 +407,9 @@ class ObjectRegistry:
         index = self.store.snapshot([data_graph_of(m) for m in cvo.members])
         fired: list[FiredRule] = []
         for rule in cvo.rules:
-            variables = rule.condition_variables()
             raw = solve(rule.condition, [index] * len(rule.condition), rule.filters)
-            distinct: dict[tuple[Term, ...], dict[Variable, Term]] = {}
-            for b in raw:
-                key = tuple(b[v] for v in variables)
-                distinct.setdefault(key, b)
-            bindings = [
-                distinct[k]
-                for k in sorted(
-                    distinct, key=lambda row: tuple(serialize_term(t) for t in row)
-                )
-            ]
+            distinct = distinct_rows(raw, rule.condition_variables())
+            bindings = [distinct[row] for row in sorted_rows(distinct)]
             if not bindings:
                 continue
             try:
@@ -450,11 +433,8 @@ class ObjectRegistry:
         if isinstance(action, AssertTriples):
             added = 0
             for b in bindings:
-                for s, p, o in action.templates:
-                    triple = Triple(
-                        _resolve_term(s, b), _resolve_term(p, b), _resolve_term(o, b)
-                    )
-                    if self.store.insert(cvo.description_graph, triple):
+                for template in action.templates:
+                    if self.store.insert(cvo.description_graph, instantiate(template, b)):
                         added += 1
             return f"asserted {added} new"
         if isinstance(action, PublishMessage):
@@ -470,9 +450,3 @@ class ObjectRegistry:
         for b in bindings:
             invoker(action.kind, _substitute(dict(action.params), b))
         return f"invoked {len(bindings)}"
-
-
-def _resolve_term(t, binding: Mapping[Variable, Term]) -> Term:
-    if isinstance(t, Variable):
-        return binding[t]
-    return t

@@ -43,7 +43,10 @@ from .semantic import (
     TriplePattern,
     TripleIndex,
     Variable,
+    distinct_rows,
+    instantiate,
     integer,
+    pattern_variables,
     serialize_term,
     solve,
     term_from_json,
@@ -62,9 +65,7 @@ class InferenceRule:
     head: tuple[HeadTemplate, ...]
 
     def __post_init__(self):
-        bound: set[Variable] = set()
-        for p in self.body:
-            bound.update(p.variables())
+        bound = set(self.body_variables())
         for f in self.filters:
             if f.var not in bound:
                 raise RuleError(f"rule {self.id}: filter variable {f.var} unbound")
@@ -76,11 +77,7 @@ class InferenceRule:
                     )
 
     def body_variables(self) -> tuple[Variable, ...]:
-        seen: dict[Variable, None] = {}
-        for p in self.body:
-            for v in p.variables():
-                seen.setdefault(v)
-        return tuple(seen)
+        return pattern_variables(self.body)
 
 
 @dataclass(frozen=True)
@@ -107,25 +104,12 @@ class InferenceResult:
 def _instantiate_head(
     rule: InferenceRule, template: HeadTemplate, binding: Mapping[Variable, Term]
 ) -> Triple:
-    s, p, o = (
-        binding[t] if isinstance(t, Variable) else t for t in template
-    )
     try:
-        return Triple(s, p, o)
+        return instantiate(template, binding)
     except Exception as exc:
         raise RuleError(
             f"rule {rule.id}: head instantiated to an invalid triple ({exc})"
         ) from exc
-
-
-def _distinct_bindings(
-    rule: InferenceRule, raw: Iterable[Mapping[Variable, Term]]
-) -> list[Mapping[Variable, Term]]:
-    variables = rule.body_variables()
-    seen: dict[tuple[Term, ...], Mapping[Variable, Term]] = {}
-    for b in raw:
-        seen.setdefault(tuple(b[v] for v in variables), b)
-    return list(seen.values())
 
 
 def infer_fixpoint(store: GraphStore, prog: RuleProgram) -> InferenceResult:
@@ -168,7 +152,7 @@ def infer_fixpoint(store: GraphStore, prog: RuleProgram) -> InferenceResult:
                     indexes = [full_index] * n
                     indexes[i] = delta_index
                     raw.extend(solve(rule.body, indexes, rule.filters))
-            for binding in _distinct_bindings(rule, raw):
+            for binding in distinct_rows(raw, rule.body_variables()).values():
                 for template in rule.head:
                     fact = _instantiate_head(rule, template, binding)
                     if fact in all_facts or fact in new_this_round:

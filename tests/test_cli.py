@@ -7,6 +7,7 @@ import pytest
 
 from semhub.cli import main
 from semhub.hub import Hub
+from semhub.semantic import MAX_BINDINGS
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,7 @@ def run_cli_rejected(capsys, monkeypatch, *argv):
         '{"where": [5]}',
         '{"select": "?x"}',
         '{"where": [["?x", "urn:sem:type", {"type": "integer"}]]}',
+        pytest.param("[" * 100_000, id="deeply-nested"),
     ],
 )
 def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
@@ -145,14 +147,43 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
         ('{"requests": [{}]}', "missing key 'tick'"),
         ('{"users": ["alice"]}', "has no attribute 'items'"),
         ('{"durationTicks": -1}', "durationTicks must not be negative, got -1"),
+        pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deeply-nested"),
+        ('{"cvoRuleInterval": 0}', "cvoRuleInterval must be at least 1, got 0"),
+        ('{"medicalBatchInterval": -1}', "medicalBatchInterval must be at least 1, got -1"),
+        ('{"monitorInterval": 0}', "monitorInterval must be at least 1, got 0"),
+        ('{"noiseRate": -1}', "noiseRate must be within [0, 1], got -1.0"),
+        ('{"noiseRate": 1.5}', "noiseRate must be within [0, 1], got 1.5"),
+        ('{"holdout": 0}', "holdout must be within (0, 1), got 0.0"),
+        ('{"holdout": 1.5}', "holdout must be within (0, 1), got 1.5"),
+        ('{"users": {}}', "users must name at least one user"),
+        ('{"users": {"a": 9}}', "users: level of 'a' must be within 0..3, got 9"),
+        ('{"trainInstances": 0}', "trainInstances 0 splits into 0 training and 0 holdout"),
+        ('{"trainInstances": 4}', "trainInstances 4 splits into 3 training and 1 holdout"),
     ],
 )
 def test_malformed_scenario_rejected(capsys, monkeypatch, tmp_path, text, detail):
     cfg = tmp_path / "scenario.json"
     if text is not None:  # None leaves the file missing
         cfg.write_text(text, encoding="utf-8")
-    err = run_cli_rejected(capsys, monkeypatch, "run", "--config", str(cfg))
+    err = run_cli_rejected(capsys, monkeypatch, "run", "--config", str(cfg), "--ticks", "50")
     assert detail in err
+
+
+def test_query_past_the_binding_limit_exits_nonzero(capsys, tmp_path):
+    q = tmp_path / "q.json"
+    q.write_text(
+        json.dumps(
+            {
+                "select": ["?a", "?b", "?c", "?d"],
+                "where": [["?a", "?p", "?b"], ["?c", "?q", "?d"]],
+            }
+        ),
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "query", "--file", str(q), "--ticks", "40")
+    assert code == 1
+    assert out == ""
+    assert err == f"hub: error: query needs more than {MAX_BINDINGS} intermediate bindings\n"
 
 
 def test_query_failing_at_evaluation_exits_nonzero(capsys, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 
 from semhub.gateway import MAX_BODY_BYTES, GatewayServer
 from semhub.hub import Hub, ScenarioConfig
+from semhub.semantic import MAX_BINDINGS
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +288,34 @@ def test_body_ending_early_is_400(served):
     assert got == 400
     assert doc["error"] == "body ended after 2 of the 100 bytes in Content-Length"
     _assert_query_served(base)
+
+
+def test_deeply_nested_body_is_400(served):
+    _, base = served
+    body = b"[" * 100_000  # well under the body cap
+    got, doc = _post_raw(base, len(body), body=body)
+    assert got == 400
+    assert doc["error"] == "body is nested too deeply to decode"
+    _assert_query_served(base)
+
+
+def test_cross_product_query_is_refused():
+    hub = Hub(ScenarioConfig(duration_ticks=40))
+    hub.run()
+    server = GatewayServer(hub).start()
+    try:
+        cross = {
+            "select": ["?a", "?b", "?c", "?d"],
+            "where": [["?a", "?p", "?b"], ["?c", "?q", "?d"]],
+        }
+        started = time.monotonic()
+        got, doc = _post(f"http://127.0.0.1:{server.port}/queries", cross)
+        assert time.monotonic() - started < 1
+        assert got == 400
+        assert doc["error"] == f"query needs more than {MAX_BINDINGS} intermediate bindings"
+    finally:
+        server.stop()
+        hub.close()
 
 
 def test_unknown_route_is_404(served):

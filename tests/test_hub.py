@@ -42,6 +42,19 @@ SHORT = ScenarioConfig(
 )
 
 
+def test_scenario_range_edges_accepted():
+    # each value is the edge of its range, so building the config raises nothing
+    edges = ScenarioConfig(
+        noise_rate=0.0,
+        users={"low": 0, "high": 3},
+        train_instances=7,  # 5 to train on and 2 held out at holdout 0.2
+        cvo_rule_interval=1,
+        medical_batch_interval=1,
+        monitor_interval=1,
+    )
+    replace(edges, noise_rate=1.0, holdout=0.5, train_instances=10)  # 5 and 5
+
+
 @pytest.fixture(scope="module")
 def ran():
     h = Hub(SHORT)

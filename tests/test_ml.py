@@ -16,7 +16,6 @@ from semhub.analytics import (
     DATA_DIR,
     LOCATION_SCHEMA,
     PHYSIO_SCHEMA,
-    build_activity_features,
     build_location_features,
     build_physio_features,
     load_analyzer_configs,
@@ -307,17 +306,6 @@ def test_location_features_order_independent():
     assert build_location_features(events, t) == build_location_features(
         list(reversed(events)), t
     )
-
-
-def test_activity_features_mean_motion():
-    t = BASE_TS + 3_600_000
-    motion = [(t - 10 * 60_000, 4), (t - 5 * 60_000, 8), (t - 70 * 60_000, 100)]
-    fv = build_activity_features([(t - 20 * 60_000, "Cooking")], motion, t)
-    assert fv["previous-activity"] == "Cooking"
-    assert fv["mean-motion-60min"] == pytest.approx(6.0)
-    empty = build_activity_features([], [], t)
-    assert empty["previous-activity"] == "none"
-    assert empty["mean-motion-60min"] == 0.0
 
 
 def test_physio_features_windows():

@@ -331,6 +331,35 @@ def test_firing_count_matches_standalone_query():
     assert len(fired[0].bindings) == len(store.evaluate(q))
 
 
+def test_rule_with_empty_condition_fires_once():
+    registry, store = make_registry()
+    vo = make_vo(registry)
+    state = (vocab.user_iri("u"), Iri("urn:t:inState"), Iri("urn:t:state:idle"))
+    cvo = make_cvo(registry, store, [vo], [Rule("always", (), (), AssertTriples((state,)))])
+    [fired] = registry.evaluate_cvo_rules(cvo.id)
+    assert fired.bindings == ({},)
+    assert fired.action_outcome == "asserted 1 new"
+    assert store.contains(cvo.description_graph, Triple(*state))
+
+
+def test_bindings_in_serialized_order_instantiate_templates():
+    registry, store = make_registry()
+    vo1 = make_vo(registry, "m1")
+    vo2 = make_vo(registry, "m2")
+    registry.ingest(obs(vo1, 1, 25))
+    registry.ingest(obs(vo1, 2, 15))
+    registry.ingest(obs(vo2, 1, 40))
+    s, v, saw = Variable("s"), Variable("v"), Iri("urn:t:saw")
+    rule = Rule("saw", (TriplePattern(s, MOTION, v),), (), AssertTriples(((s, saw, v),)))
+    cvo = make_cvo(registry, store, [vo1, vo2], [rule])
+    [fired] = registry.evaluate_cvo_rules(cvo.id)
+    rows = [(b[s], b[v]) for b in fired.bindings]
+    assert rows == [(vo1.id, integer(15)), (vo1.id, integer(25)), (vo2.id, integer(40))]
+    assert fired.action_outcome == "asserted 3 new"
+    for row in rows:
+        assert store.contains(cvo.description_graph, Triple(row[0], saw, row[1]))
+
+
 def test_assert_rules_idempotent_on_store():
     registry, store = make_registry()
     vo = make_vo(registry)

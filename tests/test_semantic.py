@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from semhub import semantic
 from semhub.errors import (
+    BindingLimitExceeded,
     ComparisonTypeError,
     MalformedIri,
     MalformedLiteral,
@@ -110,16 +112,23 @@ def test_store_set_semantics():
     assert store.remove(G, t) is False
 
 
-def test_match_pattern():
+def test_join_past_the_binding_limit_is_refused(monkeypatch):
     store = GraphStore()
-    store.insert(G, Triple(S, P, integer(1)))
-    store.insert(G, Triple(S, P, integer(2)))
-    store.insert(G, Triple(Iri("urn:t:s2"), P, integer(1)))
-    got = store.match([G], TriplePattern(Variable("s"), P, Variable("o")))
-    assert got.variables == (Variable("s"), Variable("o"))
-    assert len(got) == 3
-    got2 = store.match([G], TriplePattern(S, P, Variable("o")))
-    assert [row[0] for row in got2.rows] == [integer(1), integer(2)]
+    for i in range(5):
+        store.insert(G, Triple(Iri(f"urn:t:s{i}"), P, integer(i)))
+    a, b, c, d = (Variable(n) for n in "abcd")
+    cross = Query([a, b, c, d], [TriplePattern(a, P, b), TriplePattern(c, P, d)])
+    calls = []
+    unify = semantic.unify
+    monkeypatch.setattr(semantic, "unify", lambda *args: calls.append(1) or unify(*args))
+    monkeypatch.setattr(semantic, "MAX_BINDINGS", 10)
+    with pytest.raises(BindingLimitExceeded, match="more than 10 intermediate bindings"):
+        store.evaluate(cross)
+    # the first step, then the candidates of three partial bindings: the
+    # count is checked before the fourth partial binding's are joined
+    assert len(calls) == 5 + 3 * 5
+    monkeypatch.setattr(semantic, "MAX_BINDINGS", 25)
+    assert len(store.evaluate(cross)) == 25
 
 
 def test_query_join_and_filter():
