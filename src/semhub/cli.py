@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import HubError, MalformedIri
+from .errors import HubError, MalformedIri, MalformedScenario
 from .gateway import GatewayServer
 from .hub import Hub, ScenarioConfig, load_scenario
 from .semantic import query_from_json
@@ -111,6 +111,10 @@ def main(argv=None) -> int:
             parser.exit(2, f"{parser.prog}: error: query file {args.file}: {exc}\n")
     hub = Hub(cfg)
     try:
+        try:
+            hub.boot()
+        except MalformedScenario as exc:  # e.g. a fault on an unknown kind
+            parser.exit(2, f"{parser.prog}: error: {exc}\n")
         if args.command == "serve":  # bind before the run, so a taken port fails fast
             try:
                 server = GatewayServer(hub, port=args.port)

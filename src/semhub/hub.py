@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -120,6 +121,11 @@ REASONERS: dict[str, tuple[str, str]] = {
 }
 
 CENTRAL_VITALS_GRAPH = vocab.graph_iri("central:vitals")
+
+# Medical batches whose records the central vitals graph keeps: a batch's
+# records leave it once this many later batches have run, so the graph spans
+# this many medical batch intervals of simulated time.
+VITALS_WINDOW_BATCHES = 12
 
 MINUTE_MS = 60_000
 
@@ -302,6 +308,8 @@ class Hub:
         self._mashups: dict[str, Resolution] = {}
         self._med_pending: list[RelationalRecord] = []
         self._last_batch: list[RelationalRecord] = []
+        # what each medical batch synchronized into the central vitals graph
+        self._vitals_window: deque[Sequence[Triple]] = deque()
         self._resolution = {
             "single-domain": 0,
             "mashup-generated": 0,
@@ -328,15 +336,22 @@ class Hub:
     # --- boot ----------------------------------------------------------
 
     def boot(self) -> "Hub":
+        """Wire every subsystem; a scripted fault on a kind that no service
+        template or instance has raises MalformedScenario first."""
         if self._booted:
             return self
+        services.load_default_services(self.repo)
+        for fault in self.config.faults:
+            if self.repo.template_for_kind(fault.kind) is None and not self.repo.of_kind(fault.kind):
+                raise MalformedScenario(
+                    f"faults: no service template or instance has kind {fault.kind!r}"
+                )
         self._booted = True
         self._register_users()
         self._register_objects()
         self._register_cvos()
         self.broker.subscribe("hub-ingest", "obs/#", qos=0, callback=self._on_observation)
         self.broker.subscribe("hub-alerts", "cvo/#", qos=1, callback=self._on_alert)
-        services.load_default_services(self.repo)
         self._register_handlers()
         for kind in sorted(self._flow_kinds()):
             if not self.repo.discover(kind):
@@ -544,9 +559,15 @@ class Hub:
         self._med_pending = []
         if records:
             self._last_batch = records
-        valid = self._sync_vitals(self.med_interop, records, CENTRAL_VITALS_GRAPH, wall)
+        synced = self._sync_vitals(self.med_interop, records, CENTRAL_VITALS_GRAPH, wall)
         self._validation["batches"] += 1
-        self._validation["valid" if valid else "invalid"] += 1
+        self._validation["invalid" if synced is None else "valid"] += 1
+        # an empty or invalid batch takes a slot too, so the window is always
+        # VITALS_WINDOW_BATCHES batch intervals long
+        self._vitals_window.append(synced or ())
+        if len(self._vitals_window) > VITALS_WINDOW_BATCHES:
+            evicted = self._vitals_window.popleft()
+            self.med_interop.synchronizer.evict(CENTRAL_VITALS_GRAPH, evicted)
 
     def _sync_vitals(
         self,
@@ -554,17 +575,18 @@ class Hub:
         records: Sequence[RelationalRecord],
         graph: Iri,
         wall: int,
-    ) -> bool:
+    ) -> list[Triple] | None:
         """Translate, annotate, align and validate relational vitals rows,
-        and synchronize them into `graph` when valid; returns the validity."""
+        and synchronize them into `graph` when valid; returns the triples
+        synchronized, or None for an invalid batch."""
         cfg = self.mappings
         triples = facade.translate(records, cfg.translations["medical-vitals"])
         annotated = facade.annotate(triples, cfg.ontologies["medical"])
         aligned = facade.align(annotated, cfg.alignments["medical-to-hub"])
-        valid = facade.validate(aligned, cfg.ontologies["hub-central"]).valid
-        if valid:
-            facade.synchronize(aligned, graph, wall)
-        return valid
+        if not facade.validate(aligned, cfg.ontologies["hub-central"]).valid:
+            return None
+        facade.synchronize(aligned, graph, wall)
+        return aligned
 
     # --- resolution -----------------------------------------------------
 

@@ -337,6 +337,21 @@ class Synchronizer:
                         summary.skew_rejected += 1
         return summary
 
+    def evict(self, central_graph: Iri, triples: Sequence[Triple]) -> None:
+        """Take back from `central_graph` what synchronizing `triples` put
+        there: each set-unioned triple, and for each functional (subject,
+        predicate) its current value and its state."""
+        gone = []
+        with self._lock:
+            for t in triples:
+                if t.predicate in self._functional:
+                    current = self._state.pop((central_graph, t.subject, t.predicate), None)
+                    if current is None:
+                        continue
+                    t = Triple(t.subject, t.predicate, current[0])
+                gone.append(t)
+            self._store.remove_all(central_graph, gone)
+
 
 # --- query log --------------------------------------------------------------
 
@@ -422,9 +437,15 @@ def query_signature(q: Query) -> str:
     return _canonical_query(q)[1]
 
 
+# Signatures a query log holds; a server answering arbitrary clients would
+# otherwise keep every distinct query it was ever sent.
+QUERY_LOG_CAPACITY = 1024
+
+
 class QueryLog:
     """Signature -> normalized query, the first one logged under that
-    signature (queries are cached, not results)."""
+    signature (queries are cached, not results).  It holds at most
+    QUERY_LOG_CAPACITY signatures and forgets the oldest logged first."""
 
     def __init__(self):
         self._queries: dict[str, Query] = {}
@@ -433,21 +454,32 @@ class QueryLog:
     def __len__(self) -> int:
         return len(self._queries)
 
+    def get(self, signature: str) -> Query | None:
+        with self._lock:
+            return self._queries.get(signature)
+
     def setdefault(self, signature: str, query: Query) -> Query:
         """The query logged under `signature`, logging `query` if none is;
         one atomic step, so exactly one of two racing callers logs."""
         with self._lock:
-            return self._queries.setdefault(signature, query)
+            logged = self._queries.setdefault(signature, query)
+            if len(self._queries) > QUERY_LOG_CAPACITY:
+                del self._queries[next(iter(self._queries))]
+            return logged
 
 
 def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSet, str]:
     """Execute q through the log: replay the stored normalized query on a hit,
-    otherwise normalize, log, and execute.  Results always reflect the live
-    store; the caller's variable names label the columns either way."""
+    otherwise execute the normalized query and log it.  A query whose
+    evaluation raises is not logged.  Results always reflect the live store;
+    the caller's variable names label the columns either way."""
     normalized, signature = _canonical_query(q)
-    logged = log.setdefault(signature, normalized)
+    logged = log.get(signature)
+    rows = store.evaluate(normalized if logged is None else logged).rows
+    if logged is None:
+        logged = log.setdefault(signature, normalized)
     status = "miss-generated" if logged is normalized else "hit"
-    return BindingSet(q.select, store.evaluate(logged).rows), status
+    return BindingSet(q.select, rows), status
 
 
 # --- config loading ---------------------------------------------------------
@@ -559,5 +591,7 @@ class InteropServices:
         return self.synchronizer.synchronize(incoming, central_graph, observed_at_ms)
 
     def process_query(self, q: Query) -> tuple[BindingSet, str]:
+        """Run q through the query log; only a query that evaluates is counted."""
+        answer = process_query(q, self.query_log, self.store)
         self._bump("query")
-        return process_query(q, self.query_log, self.store)
+        return answer

@@ -549,6 +549,18 @@ class GraphStore:
             self._indexes.pop(graph, None)
             return True
 
+    def remove_all(self, graph: Iri, triples: Iterable[Triple]) -> None:
+        """Remove every one of `triples` that the graph holds."""
+        with self._lock:
+            g = self._graphs.get(graph)
+            if g is None:
+                return
+            size = len(g)
+            for t in triples:
+                g.pop(t, None)
+            if len(g) < size:
+                self._indexes.pop(graph, None)
+
     def insert_all(self, graph: Iri, triples: Iterable[Triple]) -> int:
         """Insert many triples; returns the number actually added."""
         added = 0

@@ -159,6 +159,10 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
         ('{"users": {"a": 9}}', "users: level of 'a' must be within 0..3, got 9"),
         ('{"trainInstances": 0}', "trainInstances 0 splits into 0 training and 0 holdout"),
         ('{"trainInstances": 4}', "trainInstances 4 splits into 3 training and 1 holdout"),
+        (
+            '{"faults": [{"tick": 3, "kind": "reason.nothing"}]}',
+            "faults: no service template or instance has kind 'reason.nothing'",
+        ),
     ],
 )
 def test_malformed_scenario_rejected(capsys, monkeypatch, tmp_path, text, detail):

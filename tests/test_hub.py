@@ -290,6 +290,34 @@ def test_medical_batches_validated_and_synchronized(ran):
     assert any(t.predicate == vocab.PATIENT_ID for t in vitals)
 
 
+def test_central_vitals_keeps_a_window_of_medical_batches():
+    h = Hub(ScenarioConfig(duration_ticks=600, medical_batch_interval=2))
+    h.boot()
+    state = h.med_interop.synchronizer._state
+    new_subjects = []  # per batch, the record subjects it brought
+    sizes = []  # per batch, (central vitals triples, synchronizer state keys)
+    seen = set()
+    try:
+        for tick in range(600):
+            batches = h._validation["batches"]
+            h._step(tick, (), ())
+            if h._validation["batches"] == batches:
+                continue
+            present = {t.subject for t in h.store.triples(hubmod.CENTRAL_VITALS_GRAPH)}
+            new_subjects.append(present - seen)
+            seen |= present
+            sizes.append((h.store.graph_size(hubmod.CENTRAL_VITALS_GRAPH), len(state)))
+            window = set().union(*new_subjects[-hubmod.VITALS_WINDOW_BATCHES:])
+            # no triple or state key of an evicted record's subject remains
+            assert present == window
+            assert {subject for _, subject, _ in state} == window
+    finally:
+        h.close()
+    assert len(sizes) == 299 and all(new_subjects)
+    assert sizes[hubmod.VITALS_WINDOW_BATCHES - 1] > sizes[0]
+    assert len(set(sizes[hubmod.VITALS_WINDOW_BATCHES:])) == 1
+
+
 def test_routine_batches_do_not_touch_hub_facade(ran):
     report = ran.report()
     assert report["interop"]["medical"]["translate"] == 4  # one per batch

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from semhub import vocab
-from semhub.errors import DatatypeMismatch, TableMismatch
+from semhub import interop
+from semhub.errors import BindingLimitExceeded, ComparisonTypeError, DatatypeMismatch, TableMismatch
 from semhub.interop import (
     AlignmentMap,
     InteropServices,
@@ -336,6 +337,21 @@ def test_sync_order_free_for_disjoint_subjects():
     assert results[0] == results[1] == results[2]
 
 
+def test_evict_takes_out_subjects_and_their_state():
+    store = GraphStore()
+    sync = Synchronizer(store, functional=[HR])
+    a, b = Iri("urn:t:a"), Iri("urn:t:b")
+    old = [Triple(a, vocab.TYPE, VITALS), Triple(a, HR, integer(70))]
+    sync.synchronize(old, CENTRAL, 1000)
+    sync.synchronize([Triple(a, HR, integer(85))], CENTRAL, 2000)  # supersedes 70
+    sync.synchronize([Triple(b, HR, integer(60))], CENTRAL, 2000)
+    sync.evict(CENTRAL, old)
+    assert store.triples(CENTRAL) == [Triple(b, HR, integer(60))]
+    assert [key[1] for key in sync._state] == [b]
+    # an evicted subject synchronizes afresh
+    assert sync.synchronize([Triple(a, HR, integer(50))], CENTRAL, 500).added == 1
+
+
 # --- query log --------------------------------------------------------------
 
 def make_store():
@@ -414,6 +430,43 @@ def test_hit_keeps_caller_variable_names():
     process_query(hr_query("s", "v"), log, store)
     result, _ = process_query(hr_query("x", "y"), log, store)
     assert result.variables == (Variable("x"), Variable("y"))
+
+
+def test_refused_query_is_neither_logged_nor_counted(monkeypatch):
+    monkeypatch.setattr("semhub.semantic.MAX_BINDINGS", 10)  # the store holds 4 triples
+    store = make_store()
+    services = InteropServices(store)
+    v = Variable("v")
+    for other in ("urn:t:x", "urn:t:y", "urn:t:z"):  # a literal never compares with an IRI
+        q = Query([v], [TriplePattern(Variable("s"), HR, v)], [Filter(v, ">", Iri(other))], [CENTRAL])
+        with pytest.raises(ComparisonTypeError):
+            services.process_query(q)
+    a, b, c, d, p, r = (Variable(n) for n in "abcdpr")
+    cross = Query([a, b, c, d], [TriplePattern(a, p, b), TriplePattern(c, r, d)])
+    with pytest.raises(BindingLimitExceeded):
+        services.process_query(cross)
+    assert len(services.query_log) == 0
+    assert services.counters["query"] == 0
+    _, status = services.process_query(hr_query())
+    assert status == "miss-generated"
+    assert (len(services.query_log), services.counters["query"]) == (1, 1)
+
+
+def test_query_log_forgets_its_oldest_signature(monkeypatch):
+    monkeypatch.setattr(interop, "QUERY_LOG_CAPACITY", 8)
+    store, log = make_store(), QueryLog()
+
+    def query(i):
+        v = Variable("v")
+        return Query([v], [TriplePattern(Variable("s"), HR, v)], [Filter(v, ">", integer(i))], [CENTRAL])
+
+    statuses = [process_query(query(i), log, store)[1] for i in range(8 + 5)]
+    assert statuses == ["miss-generated"] * 13
+    assert len(log) == 8
+    assert process_query(query(12), log, store)[1] == "hit"
+    assert process_query(query(0), log, store)[1] == "miss-generated"  # evicted, logged again
+    assert len(log) == 8
+    assert process_query(query(5), log, store)[1] == "miss-generated"  # pushed out by query(0)
 
 
 def test_signature_corpus_distinct():
