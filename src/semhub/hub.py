@@ -68,7 +68,6 @@ from .semantic import (
     Variable,
     integer,
     query_from_json,
-    serialize_term,
     serialize_triple,
 )
 from .services import Repository
@@ -841,10 +840,7 @@ class Hub:
     def run_query(self, doc: Mapping) -> dict:
         result, log_status = self.interop.process_query(query_from_json(doc))
         names = [v.name for v in result.variables]
-        rows = [
-            {name: serialize_term(term) for name, term in zip(names, row)}
-            for row in result.rows
-        ]
+        rows = [dict(zip(names, row)) for row in result.serialized]
         return {"rows": rows, "count": len(rows), "logStatus": log_status}
 
     # --- reporting ------------------------------------------------------

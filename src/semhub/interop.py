@@ -475,11 +475,11 @@ def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSe
     the caller's variable names label the columns either way."""
     normalized, signature = _canonical_query(q)
     logged = log.get(signature)
-    rows = store.evaluate(normalized if logged is None else logged).rows
+    result = store.evaluate(normalized if logged is None else logged)
     if logged is None:
         logged = log.setdefault(signature, normalized)
     status = "miss-generated" if logged is normalized else "hit"
-    return BindingSet(q.select, rows), status
+    return BindingSet(q.select, result.rows, result.serialized), status
 
 
 # --- config loading ---------------------------------------------------------

@@ -29,16 +29,16 @@ from .semantic import (
     GraphStore,
     Iri,
     Literal,
+    Plan,
     Term,
     TriplePattern,
     Triple,
     Variable,
-    distinct_rows,
     instantiate,
     integer,
+    ordered_distinct,
     pattern_variables,
     solve,
-    sorted_rows,
 )
 
 DOMAINS = ("smart-home", "medical-facility", "smart-office")
@@ -146,6 +146,7 @@ class Rule:
     condition: tuple[TriplePattern, ...]
     filters: tuple[Filter, ...]
     action: Action
+    plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound = set(self.condition_variables())
@@ -162,6 +163,7 @@ class Rule:
         if loose:
             names = ", ".join(sorted(f"?{v.name}" for v in loose))
             raise ActionFailure(self.id, f"action references unbound {names}")
+        object.__setattr__(self, "plan", Plan(self.condition, self.filters))
 
     def condition_variables(self) -> tuple[Variable, ...]:
         return pattern_variables(self.condition)
@@ -407,9 +409,8 @@ class ObjectRegistry:
         index = self.store.snapshot([data_graph_of(m) for m in cvo.members])
         fired: list[FiredRule] = []
         for rule in cvo.rules:
-            raw = solve(rule.condition, [index] * len(rule.condition), rule.filters)
-            distinct = distinct_rows(raw, rule.condition_variables())
-            bindings = [distinct[row] for row in sorted_rows(distinct)]
+            rows = solve(rule.plan, [index] * len(rule.condition))
+            bindings = [rule.plan.binding(row) for _, row in ordered_distinct(rows)]
             if not bindings:
                 continue
             try:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from pathlib import Path
@@ -37,13 +37,13 @@ from .semantic import (
     GraphStore,
     Iri,
     Literal,
+    Plan,
     Query,
     Term,
     Triple,
     TriplePattern,
     TripleIndex,
     Variable,
-    distinct_rows,
     instantiate,
     integer,
     pattern_variables,
@@ -63,6 +63,7 @@ class InferenceRule:
     body: tuple[TriplePattern, ...]
     filters: tuple[Filter, ...]
     head: tuple[HeadTemplate, ...]
+    plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bound = set(self.body_variables())
@@ -75,6 +76,7 @@ class InferenceRule:
                     raise RuleError(
                         f"rule {self.id}: head variable {term} not in body"
                     )
+        object.__setattr__(self, "plan", Plan(self.body, self.filters))
 
     def body_variables(self) -> tuple[Variable, ...]:
         return pattern_variables(self.body)
@@ -144,15 +146,16 @@ def infer_fixpoint(store: GraphStore, prog: RuleProgram) -> InferenceResult:
         for rule in prog.rules:
             n = len(rule.body)
             if iterations == 1:
-                raw = solve(rule.body, [full_index] * n, rule.filters)
+                raw = solve(rule.plan, [full_index] * n)
             else:
                 delta_index = TripleIndex(delta)
                 raw = []
                 for i in range(n):
                     indexes = [full_index] * n
                     indexes[i] = delta_index
-                    raw.extend(solve(rule.body, indexes, rule.filters))
-            for binding in distinct_rows(raw, rule.body_variables()).values():
+                    raw.extend(solve(rule.plan, indexes))
+            for row in dict.fromkeys(raw):
+                binding = rule.plan.binding(row)
                 for template in rule.head:
                     fact = _instantiate_head(rule, template, binding)
                     if fact in all_facts or fact in new_this_round:

@@ -1,8 +1,9 @@
 """Minimal in-memory semantic store.
 
 IRIs, typed literals, triples grouped into named graphs, triple-pattern
-matching, and a select-style query evaluator (conjunctive patterns joined
-naturally, comparison filters, projection with deterministic row order).
+matching, and a select-style query evaluator (conjunctive patterns compiled
+once into a plan and joined left to right on tuple rows, comparison filters,
+projection with deterministic row order).
 There are no blank nodes, no inference, and exactly five literal datatypes;
 this keeps query results exactly reproducible and easy to cross-check
 against brute-force enumeration.
@@ -10,9 +11,10 @@ against brute-force enumeration.
 
 from __future__ import annotations
 
+import operator
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
 from typing import Iterable, Mapping, Sequence, Union
@@ -158,7 +160,8 @@ class TriplePattern:
         return pattern_variables((self,))
 
 
-_OPS = ("=", "!=", "<", "<=", ">", ">=")
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +173,7 @@ class Filter:
     value: Term
 
     def __post_init__(self):
-        if self.op not in _OPS:
+        if not isinstance(self.op, str) or self.op not in _OPS:
             raise ComparisonTypeError(f"unknown operator {self.op!r}")
 
 
@@ -187,18 +190,7 @@ def compare_terms(left: Term, op: str, right: Term) -> bool:
             raise ComparisonTypeError(
                 f"cannot compare {left.datatype} with {right.datatype}"
             )
-        a, b = left.value(), right.value()
-        if op == "=":
-            return a == b
-        if op == "!=":
-            return a != b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        return a >= b
+        return _OPS[op](left.value(), right.value())
     raise ComparisonTypeError("cannot compare an IRI with a literal")
 
 
@@ -209,7 +201,7 @@ class Query:
     pattern list evaluates to the empty binding set.
     """
 
-    __slots__ = ("select", "where", "filters", "graph_scope")
+    __slots__ = ("select", "where", "filters", "graph_scope", "_plan")
 
     def __init__(
         self,
@@ -229,6 +221,15 @@ class Query:
         for f in self.filters:
             if f.var not in bound:
                 raise UnboundVariable(f"filter variable {f.var} not in any pattern")
+        self._plan = None
+
+    @property
+    def plan(self) -> "Plan":
+        """The compiled plan, built on the first evaluation and kept, so a
+        query object that is only normalized or compared never compiles."""
+        if self._plan is None:
+            self._plan = Plan(self.where, self.filters)
+        return self._plan
 
     def __eq__(self, other) -> bool:
         return (
@@ -245,10 +246,21 @@ class Query:
 
 @dataclass(frozen=True)
 class BindingSet:
-    """Query result: an ordered list of rows binding exactly the selected vars."""
+    """Query result: an ordered list of rows binding exactly the selected vars.
+
+    `serialized` holds each row's terms serialized.  The evaluator sorts by
+    these strings and passes them on, so answering in JSON does not
+    serialize again; given None, they are computed here.
+    """
 
     variables: tuple[Variable, ...]
     rows: tuple[tuple[Term, ...], ...]
+    serialized: tuple[tuple[str, ...], ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.serialized is None:
+            serialized = tuple(tuple(map(serialize_term, row)) for row in self.rows)
+            object.__setattr__(self, "serialized", serialized)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -256,11 +268,11 @@ class BindingSet:
 
 # --- serialization ----------------------------------------------------------
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
 def _escape(s: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in s)
+    return s.translate(_ESCAPES)
 
 
 def serialize_term(t: PatternTerm) -> str:
@@ -289,8 +301,22 @@ def term_from_json(x) -> PatternTerm:
             return Variable(x[1:])
         return Iri(x)
     if isinstance(x, Mapping) and "value" in x:
-        return Literal(str(x["value"]), x.get("type", "string"))
+        return Literal(_lexical_from_json(x["value"]), x.get("type", "string"))
     raise MalformedLiteral(f"unparseable term JSON: {x!r}")
+
+
+def _lexical_from_json(value) -> str:
+    """A literal's lexical form from a JSON string, boolean or number; a
+    float in plain decimal notation, so 1e20 reads as 100000000000000000000."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(Decimal(repr(value)), "f")
+    raise MalformedLiteral(f"a literal value must be a JSON string, boolean or number, got {value!r}")
 
 
 def query_to_json(q: Query) -> dict:
@@ -381,21 +407,6 @@ class TripleIndex:
     def __contains__(self, t: Triple) -> bool:
         return t in self.by_subject.get(t.subject, ())
 
-    def candidates(self, pattern: TriplePattern, binding: Mapping[Variable, Term]) -> list[Triple]:
-        """The triples pattern can match: the shorter of the bound subject's
-        and the bound predicate's lists, or all triples."""
-        s = _resolve(pattern.subject, binding)
-        p = _resolve(pattern.predicate, binding)
-        if isinstance(s, Iri):
-            by_s = self.by_subject.get(s, [])
-            if isinstance(p, Iri):
-                by_p = self.by_predicate.get(p, [])
-                return by_p if len(by_p) < len(by_s) else by_s
-            return by_s
-        if isinstance(p, Iri):
-            return self.by_predicate.get(p, [])
-        return self.triples
-
     def terms(self) -> list[Term]:
         """All distinct subjects, predicates and objects, in first occurrence order."""
         seen: dict[Term, None] = {}
@@ -415,64 +426,172 @@ def _concat(maps: Sequence[dict[Iri, list[Triple]]]) -> dict[Iri, list[Triple]]:
     return out
 
 
-def _resolve(pt: PatternTerm, binding: Mapping[Variable, Term]):
-    if isinstance(pt, Variable):
-        return binding.get(pt)
-    return pt
+Row = tuple[Term, ...]
+
+_POSITIONS = ("subject", "predicate", "object")
 
 
-def unify(pattern: TriplePattern, t: Triple, binding: Mapping[Variable, Term]):
-    """Extend binding so pattern matches t, or return None."""
-    b = dict(binding)
-    for pt, tt in (
-        (pattern.subject, t.subject),
-        (pattern.predicate, t.predicate),
-        (pattern.object, t.object),
-    ):
-        if isinstance(pt, Variable):
-            bound = b.get(pt)
-            if bound is None:
-                b[pt] = tt
-            elif bound != tt:
-                return None
-        elif pt != tt:
-            return None
-    return b
+def _reader(ref):
+    """row -> term, for a slot number (the row's term there) or a constant."""
+    if isinstance(ref, int):
+        return operator.itemgetter(ref)
+    return lambda _row: ref
 
 
-def solve(
-    patterns: Sequence[TriplePattern],
-    indexes: Sequence[TripleIndex],
-    filters: Sequence[Filter] = (),
-) -> list[dict[Variable, Term]]:
-    """Join patterns left to right against per-pattern indexes.
+class _Check:
+    """What a candidate triple's already-determined terms must equal: `get`
+    reads them from the triple, `want` computes them from the row (one term,
+    or a tuple of several); `get` is None when nothing is left to check."""
 
-    Returns complete bindings that satisfy every filter, in a deterministic
+    __slots__ = ("get", "want")
+
+    def __init__(self, refs: Mapping[str, object]):
+        self.get = operator.attrgetter(*refs) if refs else None
+        terms = list(refs.values())
+        if not any(isinstance(ref, int) for ref in terms):
+            want = terms[0] if len(terms) == 1 else tuple(terms)
+            self.want = lambda _row: want
+        elif len(terms) == 1:
+            self.want = operator.itemgetter(terms[0])
+        else:
+            readers = [_reader(ref) for ref in terms]
+            self.want = lambda row: tuple(read(row) for read in readers)
+
+
+class Step:
+    """One pattern compiled against the variables the patterns before it
+    bind.  Each position is a constant, a bound variable (a slot of the
+    row), a new variable, or a new variable repeated within the pattern;
+    so whether the subject and predicate are bound is known statically."""
+
+    __slots__ = ("subject", "predicate", "by_subject", "by_predicate", "scan",
+                 "repeats", "take", "width")
+
+    def __init__(self, pattern: TriplePattern, slots: dict[Variable, int]):
+        refs: dict[str, object] = {}  # position -> slot number or constant
+        first: dict[Variable, str] = {}  # new variable -> its first position
+        repeats = []
+        for pos in _POSITIONS:
+            term = getattr(pattern, pos)
+            if not isinstance(term, Variable):
+                refs[pos] = term
+            elif term in slots:
+                refs[pos] = slots[term]
+            elif term in first:
+                repeats.append((pos, first[term]))
+            else:
+                first[term] = pos
+        for var in first:
+            slots[var] = len(slots)
+        # Each bound key gets a reader and the check its candidate list still
+        # needs, which leaves out the key itself; with neither bound, the
+        # step scans every triple.
+        self.subject = self.predicate = self.by_subject = self.by_predicate = self.scan = None
+        if "subject" in refs:
+            self.subject = _reader(refs["subject"])
+            self.by_subject = _Check({p: r for p, r in refs.items() if p != "subject"})
+        if "predicate" in refs:
+            self.predicate = _reader(refs["predicate"])
+            self.by_predicate = _Check({p: r for p, r in refs.items() if p != "predicate"})
+        if self.subject is None and self.predicate is None:
+            self.scan = _Check(refs)
+        self.repeats = tuple(repeats)
+        self.take = operator.attrgetter(*first.values()) if first else None
+        self.width = len(first)
+
+    def candidates(self, index: TripleIndex, row: Row) -> tuple[Sequence[Triple], _Check]:
+        """The triples this pattern can match under row, with the check they
+        still need: the shorter of the bound subject's and the bound
+        predicate's lists, or all triples."""
+        if self.subject is not None:
+            by_s = index.by_subject.get(self.subject(row), ())
+            if self.predicate is not None:
+                by_p = index.by_predicate.get(self.predicate(row), ())
+                if len(by_p) < len(by_s):
+                    return by_p, self.by_predicate
+            return by_s, self.by_subject
+        if self.predicate is not None:
+            return index.by_predicate.get(self.predicate(row), ()), self.by_predicate
+        return index.triples, self.scan
+
+    def join(self, index: TripleIndex, row: Row, out: list[Row]) -> None:
+        """Append to out the row extended by each match's new terms."""
+        cands, check = self.candidates(index, row)
+        if check.get is not None:
+            get, want = check.get, check.want(row)
+            cands = [t for t in cands if get(t) == want]
+        if self.repeats:
+            cands = [
+                t for t in cands
+                if all(getattr(t, a) == getattr(t, b) for a, b in self.repeats)
+            ]
+        take = self.take
+        if self.width == 1:
+            out.extend([row + (take(t),) for t in cands])
+        elif self.width:
+            out.extend([row + take(t) for t in cands])
+        else:
+            out.extend([row] * len(cands))
+
+
+class Plan:
+    """A pattern list and its filters, compiled once into steps that join
+    left to right on tuple rows: row i holds the term of `variables[i]`,
+    the variables in first-occurrence order.  Each filter's constant is
+    parsed here, not per row."""
+
+    __slots__ = ("variables", "steps", "filters")
+
+    def __init__(self, patterns: Sequence[TriplePattern], filters: Sequence[Filter] = ()):
+        slots: dict[Variable, int] = {}
+        self.steps = tuple(Step(p, slots) for p in patterns)
+        self.variables = tuple(slots)
+        self.filters = tuple(
+            (slots[f.var], f, _OPS[f.op],
+             f.value.value() if isinstance(f.value, Literal) else None)
+            for f in filters
+        )
+
+    def binding(self, row: Row) -> dict[Variable, Term]:
+        return dict(zip(self.variables, row))
+
+    def passes(self, row: Row) -> bool:
+        """Whether row satisfies every filter, tried in order; a comparison
+        across kinds or datatypes raises as compare_terms does."""
+        for slot, f, op, right in self.filters:
+            left = row[slot]
+            if right is not None and type(left) is Literal and left.datatype == f.value.datatype:
+                if not op(left.value(), right):
+                    return False
+            elif not compare_terms(left, f.op, f.value):
+                return False
+        return True
+
+
+def solve(plan: Plan, indexes: Sequence[TripleIndex]) -> list[Row]:
+    """Join the plan's steps left to right, each against its own index.
+
+    Returns the complete rows that satisfy every filter, in a deterministic
     order derived from index insertion order.  A join step that holds more
-    than MAX_BINDINGS bindings raises BindingLimitExceeded; the count is
-    checked after each partial binding's candidates, so at most one
-    candidate list past the limit is ever built.
+    than MAX_BINDINGS rows raises BindingLimitExceeded; the count is checked
+    after each partial row's candidates, so at most one candidate list past
+    the limit is ever joined.
     """
-    partials: list[dict[Variable, Term]] = [{}]
-    for pattern, index in zip(patterns, indexes):
-        nxt: list[dict[Variable, Term]] = []
-        for b in partials:
-            for t in index.candidates(pattern, b):
-                nb = unify(pattern, t, b)
-                if nb is not None:
-                    nxt.append(nb)
+    rows: list[Row] = [()]
+    for step, index in zip(plan.steps, indexes):
+        nxt: list[Row] = []
+        for row in rows:
+            step.join(index, row, nxt)
             if len(nxt) > MAX_BINDINGS:
                 raise BindingLimitExceeded(
                     f"query needs more than {MAX_BINDINGS} intermediate bindings"
                 )
-        partials = nxt
-        if not partials:
+        rows = nxt
+        if not rows:
             return []
-    out = []
-    for b in partials:
-        if all(compare_terms(b[f.var], f.op, f.value) for f in filters):
-            out.append(b)
-    return out
+    if plan.filters:
+        return [row for row in rows if plan.passes(row)]
+    return rows
 
 
 def pattern_variables(patterns: Iterable[TriplePattern]) -> tuple[Variable, ...]:
@@ -485,19 +604,19 @@ def pattern_variables(patterns: Iterable[TriplePattern]) -> tuple[Variable, ...]
     ))
 
 
-def distinct_rows(
-    bindings: Iterable[dict[Variable, Term]], variables: Sequence[Variable]
-) -> dict[tuple[Term, ...], dict[Variable, Term]]:
-    """The first binding per distinct row of `variables`, in first-occurrence order."""
-    rows: dict[tuple[Term, ...], dict[Variable, Term]] = {}
-    for b in bindings:
-        rows.setdefault(tuple(b[v] for v in variables), b)
-    return rows
+def _projection(slots: Sequence[int]):
+    """row -> the tuple of its terms at slots."""
+    if len(slots) == 1:
+        k = slots[0]
+        return lambda row: (row[k],)
+    return operator.itemgetter(*slots) if slots else lambda _row: ()
 
 
-def sorted_rows(rows: Iterable[tuple[Term, ...]]) -> list[tuple[Term, ...]]:
-    """Rows in the order of their serialized terms, which no hash seed moves."""
-    return sorted(rows, key=lambda r: tuple(serialize_term(t) for t in r))
+def ordered_distinct(rows: Iterable[Row]) -> list[tuple[tuple[str, ...], Row]]:
+    """The distinct rows as (serialized terms, row) pairs, in the order of
+    those strings, which no hash seed moves.  Serialization is one-to-one
+    on terms, so the strings also key the dedupe."""
+    return sorted({tuple(map(serialize_term, row)): row for row in rows}.items())
 
 
 def instantiate(template: Sequence[PatternTerm], binding: Mapping[Variable, Term]) -> Triple:
@@ -510,8 +629,12 @@ def solve_query(index: TripleIndex, q: Query) -> BindingSet:
     """Evaluate a query against a snapshot: join, filter, project, dedupe, sort."""
     if not q.where:
         return BindingSet(q.select, ())
-    bindings = solve(q.where, [index] * len(q.where), q.filters)
-    return BindingSet(q.select, tuple(sorted_rows(distinct_rows(bindings, q.select))))
+    plan = q.plan
+    rows = solve(plan, [index] * len(plan.steps))
+    ordered = ordered_distinct(map(_projection([plan.variables.index(v) for v in q.select]), rows))
+    return BindingSet(
+        q.select, tuple(row for _, row in ordered), tuple(key for key, _ in ordered)
+    )
 
 
 class GraphStore:

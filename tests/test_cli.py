@@ -127,6 +127,8 @@ def run_cli_rejected(capsys, monkeypatch, *argv):
         '{"where": [5]}',
         '{"select": "?x"}',
         '{"where": [["?x", "urn:sem:type", {"type": "integer"}]]}',
+        '{"where": [["?x", "urn:sem:type", {"value": null}]]}',
+        '{"where": [["?x", "urn:sem:type", {"value": [1]}]]}',
         pytest.param("[" * 100_000, id="deeply-nested"),
     ],
 )

@@ -220,6 +220,21 @@ def test_query_route_rejects_bad_shapes(served, query):
     assert doc["count"] >= 1
 
 
+@pytest.mark.parametrize("value", [None, ["nested"]], ids=json.dumps)
+def test_query_route_rejects_null_and_list_literals(served, value):
+    _, base = served
+    status, doc = _post(
+        base + "/queries",
+        {
+            "select": ["?s"],
+            "where": [["?s", "urn:sem:heartRate", "?v"]],
+            "filters": [{"var": "?v", "op": ">", "value": {"value": value, "type": "decimal"}}],
+        },
+    )
+    assert status == 400
+    assert "must be a JSON string, boolean or number" in doc["error"]
+    _assert_query_served(base)
+
 
 def _post_raw(base, content_length, body=b"", end_body=False):
     """POST whose headers claim `content_length` body bytes but send only

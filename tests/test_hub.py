@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from semhub import hub as hubmod
-from semhub import reasoning, vocab
+from semhub import reasoning, semantic, vocab
 from semhub.bus import Message, Topic
 from semhub.errors import UnknownCapability, UnsatisfiableRequirement
 from semhub.hub import (
@@ -429,6 +429,56 @@ def test_reasoning_adds_no_graph_to_the_shared_store(booted, monkeypatch):
 
 
 # --- composite-object rules -------------------------------------------------
+
+def test_rules_and_logged_queries_compile_once(monkeypatch):
+    """Each CVO rule, inference rule and distinct normalized query builds
+    its plan once; repeated CVO passes, derivations and log hits build none."""
+    compiled = []
+    init = semantic.Plan.__init__
+
+    def counted(plan, patterns, filters=()):
+        compiled.append(tuple(patterns))
+        init(plan, patterns, filters)
+
+    monkeypatch.setattr(semantic.Plan, "__init__", counted)
+    hub = Hub(ScenarioConfig(duration_ticks=300, requests=()))
+    hub.boot()
+    cvo_rules = [rule for cvo in hub.registry.cvos() for rule in cvo.rules]
+    inference_rules = [rule for rules in hub.reasoning.programs.values() for rule in rules]
+    assert len(compiled) == len(cvo_rules) + len(inference_rules)
+    booted = len(compiled)
+
+    hub.run()  # 300 ticks of CVO passes
+    capabilities = (
+        "analytics.physio-status",
+        "reason.activity",
+        "analytics.location",
+        "analytics.activity-physio-correlation",
+    )
+    for i in range(20):  # derivations, the mashup once, then its cache hits
+        hub.submit_request(capabilities[i % 4], ("alice", "carol")[i // 4 % 2])
+    assert hub.reasoning.counters["physio-status"] > 0
+    assert len(compiled) == booted
+
+    docs = [
+        {"select": [f"?s{i}", f"?v{i}"], "where": [[f"?s{i}", "urn:sem:heartRate", f"?v{i}"]]}
+        for i in range(10)
+    ] + [
+        {
+            "select": ["?r", "?hr"],
+            "where": [
+                ["?r", "urn:sem:type", "urn:sem:class:VitalsRecord"],
+                ["?r", "urn:sem:heartRate", "?hr"],
+            ],
+            "filters": [{"var": "?hr", "op": ">", "value": {"value": threshold, "type": "decimal"}}],
+        }
+        for threshold in ("60", "80")
+    ] * 5
+    statuses = [hub.run_query(doc)["logStatus"] for doc in docs]
+    assert statuses.count("miss-generated") == 3
+    assert len(compiled) == booted + 3
+    hub.close()
+
 
 def test_cvo_rule_fires_and_publishes_alert(booted):
     vo_id = booted._vo_index[("smart-home", "motion", "alice")]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from semhub.semantic import (
     GraphStore,
     Iri,
     Literal,
+    Plan,
     Query,
     Triple,
     TriplePattern,
@@ -27,6 +29,7 @@ from semhub.semantic import (
     query_to_json,
     serialize_triple,
     string,
+    term_from_json,
 )
 from oracles import oracle_evaluate, random_store_and_query
 
@@ -118,15 +121,22 @@ def test_join_past_the_binding_limit_is_refused(monkeypatch):
         store.insert(G, Triple(Iri(f"urn:t:s{i}"), P, integer(i)))
     a, b, c, d = (Variable(n) for n in "abcd")
     cross = Query([a, b, c, d], [TriplePattern(a, P, b), TriplePattern(c, P, d)])
-    calls = []
-    unify = semantic.unify
-    monkeypatch.setattr(semantic, "unify", lambda *args: calls.append(1) or unify(*args))
+    joined = []  # the length of each candidate list the join fetches
+    candidates = semantic.Step.candidates
+
+    def counted(step, index, row):
+        found = candidates(step, index, row)
+        joined.append(len(found[0]))
+        return found
+
+    monkeypatch.setattr(semantic.Step, "candidates", counted)
     monkeypatch.setattr(semantic, "MAX_BINDINGS", 10)
     with pytest.raises(BindingLimitExceeded, match="more than 10 intermediate bindings"):
         store.evaluate(cross)
     # the first step, then the candidates of three partial bindings: the
     # count is checked before the fourth partial binding's are joined
-    assert len(calls) == 5 + 3 * 5
+    assert joined == [5, 5, 5, 5]
+    assert sum(joined) == 5 + 3 * 5
     monkeypatch.setattr(semantic, "MAX_BINDINGS", 25)
     assert len(store.evaluate(cross)) == 25
 
@@ -234,6 +244,44 @@ def test_query_json_round_trip():
     doc = query_to_json(q)
     assert doc["select"] == ["?x", "?n"]
     assert query_from_json(doc) == q
+
+
+def test_json_booleans_are_boolean_literals():
+    assert term_from_json({"value": True, "type": "boolean"}) == boolean(True)
+    assert term_from_json({"value": False, "type": "boolean"}) == boolean(False)
+
+
+def test_json_integers_are_their_digits():
+    assert term_from_json({"value": 42, "type": "integer"}) == integer(42)
+    assert term_from_json({"value": -7}) == string("-7")
+
+
+def test_json_floats_are_plain_decimals():
+    assert term_from_json({"value": 1e20, "type": "decimal"}) == Literal(
+        "100000000000000000000", "decimal"
+    )
+    assert term_from_json({"value": 2.5e-3, "type": "decimal"}) == Literal("0.0025", "decimal")
+    assert term_from_json({"value": 36.6, "type": "decimal"}) == Literal("36.6", "decimal")
+
+
+@pytest.mark.parametrize("value", [None, ["a"], {"value": "x"}], ids=json.dumps)
+def test_json_null_list_and_object_are_not_literals(value):
+    with pytest.raises(MalformedLiteral, match="must be a JSON string, boolean or number"):
+        term_from_json({"value": value, "type": "string"})
+
+
+def test_json_number_filter_constant_is_applied():
+    """A filter value given as a JSON number compares like its string form."""
+    store = GraphStore()
+    for i in range(5):
+        store.insert(G, Triple(Iri(f"urn:t:s{i}"), P, decimal(i)))
+    doc = {
+        "select": ["?s"],
+        "where": [["?s", P.value, "?v"]],
+        "filters": [{"var": "?v", "op": ">", "value": {"value": 2.5, "type": "decimal"}}],
+    }
+    got = store.evaluate(query_from_json(doc))
+    assert [r[0].value for r in got.rows] == ["urn:t:s3", "urn:t:s4"]
 
 
 def _check_against_oracle(store, graphs, q, seed):
@@ -351,9 +399,11 @@ def test_bound_subject_narrows_candidates():
     index = store.snapshot([G])
     record = Variable("record")
     pattern = TriplePattern(record, hr, Variable("hr"))
-    got = index.candidates(pattern, {record: records[7]})
+    join = Plan([TriplePattern(record, type_, record_class), pattern])
+    got, _ = join.steps[1].candidates(index, (records[7],))
     assert got == [
         Triple(records[7], type_, record_class),
         Triple(records[7], hr, integer(67)),
     ]
-    assert len(index.candidates(pattern, {})) == 50
+    alone, _ = Plan([pattern]).steps[0].candidates(index, ())
+    assert len(alone) == 50
