@@ -120,8 +120,8 @@ class RecommendationTable:
         )
 
 
-def load_recommendations(path: str | Path | None = None) -> RecommendationTable:
-    p = Path(path) if path else DATA_DIR / "recommendations.json"
+def load_recommendations() -> RecommendationTable:
+    p = DATA_DIR / "recommendations.json"
     return RecommendationTable.from_json(json.loads(p.read_text(encoding="utf-8")))
 
 
@@ -156,10 +156,10 @@ def load_analyzer_configs(config_dir: str | Path) -> dict[str, ModelConfig]:
 class AnalyticsService:
     """Holds one trained model per analyzer and answers predictions."""
 
-    def __init__(self, recommendations: RecommendationTable | None = None):
+    def __init__(self):
         self._models: dict[str, TrainedModel] = {}
         self._lock = threading.Lock()
-        self.recommendations = recommendations or load_recommendations()
+        self.recommendations = load_recommendations()
         self.counters: dict[str, int] = {a: 0 for a in ANALYZERS}
 
     def train_analyzer(

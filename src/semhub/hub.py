@@ -126,6 +126,11 @@ CENTRAL_VITALS_GRAPH = vocab.graph_iri("central:vitals")
 # this many medical batch intervals of simulated time.
 VITALS_WINDOW_BATCHES = 12
 
+# Request records the report keeps from after the run, newest last; every
+# record made before `run()` returns is kept.  A server answering requests
+# after the run would otherwise keep one record per request it ever served.
+REQUEST_RECORD_TAIL = 1024
+
 MINUTE_MS = 60_000
 
 # The smallest training part of a split: the bundled k-NN analyzers use k = 5.
@@ -249,8 +254,6 @@ def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
 class Resolution:
     path: str  # single-domain | mashup-generated | mashup-cache-hit
     domains: tuple[str, ...]
-    classes: tuple[str, ...]
-    object_ids: tuple[Iri, ...]
     signature: str | None = None
     graph: Iri | None = None
 
@@ -316,16 +319,14 @@ class Hub:
             "denied": 0,
             "failed": 0,
         }
-        self._validation = {"batches": 0, "valid": 0, "invalid": 0}
         self._rule_firings: dict[str, int] = {}
         self._alerts: dict[str, int] = {}
         self._request_records: list[dict] = []
+        self._late_records: deque[dict] | None = None  # set when run() returns
         self._fault_log: list[dict] = []
         self._holdout_accuracy: dict[str, float] = {}
         self._analyzer_algorithms: dict[str, str] = {}
         self._boot_ids: set[str] = set()
-        self._derived_total = 0
-        self._ingest_rejected = 0
         self._request_seq = 0
         self._ticks_run = 0
         self._booted = False
@@ -476,8 +477,7 @@ class Hub:
         try:
             self.registry.ingest(delivery.payload)
         except StaleSequence:
-            with self._metrics_lock:
-                self._ingest_rejected += 1
+            pass  # counted by the registry as stale_dropped
 
     def _on_alert(self, delivery: Delivery) -> None:
         topic = str(delivery.topic)
@@ -499,7 +499,9 @@ class Hub:
             faults_at.setdefault(f.tick, []).append(f)
         for tick in range(self.config.duration_ticks):
             self._step(tick, faults_at.get(tick, ()), requests_at.get(tick, ()))
-        self._ticks_run = self.config.duration_ticks
+        with self._lock:
+            self._ticks_run = self.config.duration_ticks
+            self._late_records = deque(maxlen=REQUEST_RECORD_TAIL)
 
     def _step(
         self,
@@ -559,8 +561,6 @@ class Hub:
         if records:
             self._last_batch = records
         synced = self._sync_vitals(self.med_interop, records, CENTRAL_VITALS_GRAPH, wall)
-        self._validation["batches"] += 1
-        self._validation["invalid" if synced is None else "valid"] += 1
         # an empty or invalid batch takes a slot too, so the window is always
         # VITALS_WINDOW_BATCHES batch intervals long
         self._vitals_window.append(synced or ())
@@ -603,31 +603,13 @@ class Hub:
             per_class.append(domains)
         covering = sorted(set.intersection(*per_class))
         if covering:
-            domain = covering[0]
-            return Resolution(
-                "single-domain",
-                (domain,),
-                tuple(classes),
-                self._contributors(classes, (domain,)),
-            )
+            return Resolution("single-domain", (covering[0],))
         domains = tuple(sorted(set().union(*per_class)))
         signature = mashup_signature(capability, classes, domains)
         cached = self._mashups.get(signature)
         if cached is not None:
             return replace(cached, path="mashup-cache-hit")
         return self._generate_mashup(classes, domains, signature, tick)
-
-    def _contributors(
-        self, classes: Sequence[str], domains: Sequence[str]
-    ) -> tuple[Iri, ...]:
-        wanted = set(classes)
-        scope = set(domains)
-        ids = [
-            vo.id
-            for vo in self.registry.vos()
-            if vo.domain in scope and self._vo_class.get(vo.id) in wanted
-        ]
-        return tuple(sorted(ids, key=lambda i: i.value))
 
     def _generate_mashup(
         self,
@@ -639,26 +621,22 @@ class Hub:
         graph = vocab.graph_iri(f"mashup:{signature[:12]}")
         wall = self.schedule.wall_ms(tick)
         hub_ctx = self.mappings.ontologies["hub-central"]
-        object_ids = self._contributors(classes, domains)
+        wanted = set(classes)
+        contributors = sorted(
+            (vo for vo in self.registry.vos() if self._vo_class.get(vo.id) in wanted),
+            key=lambda vo: vo.id.value,
+        )
         for domain in sorted(domains):
             if domain == MEDICAL:
                 self._sync_vitals(self.interop, self._last_batch, graph, wall)
             descriptions: list[Triple] = []
-            for vo_id in object_ids:
-                vo = self.registry.vo(vo_id)
+            for vo in contributors:
                 if vo.domain == domain:
                     descriptions.extend(self.store.triples(vo.description_graph))
             annotated = self.interop.annotate(descriptions, hub_ctx)
             if self.interop.validate(annotated, hub_ctx).valid:
                 self.interop.synchronize(annotated, graph, wall)
-        mashup = Resolution(
-            "mashup-generated",
-            tuple(sorted(domains)),
-            tuple(sorted(classes)),
-            object_ids,
-            signature,
-            graph,
-        )
+        mashup = Resolution("mashup-generated", tuple(sorted(domains)), signature, graph)
         self._mashups[signature] = mashup
         return mashup
 
@@ -727,7 +705,10 @@ class Hub:
         counted = bucket or outcome
         if counted in self._resolution:
             self._resolution[counted] += 1
-        self._request_records.append(record)
+        if self._late_records is None:
+            self._request_records.append(record)
+        else:
+            self._late_records.append(record)
         return record
 
     # --- capability handlers --------------------------------------------
@@ -738,8 +719,6 @@ class Hub:
         wall = int(inputs["wall"])
         window = (wall - int(inputs.get("windowMinutes") or 30) * MINUTE_MS, wall)
         facts = self.reasoning.run(name, vocab.user_iri(str(inputs["user"])), window)
-        with self._metrics_lock:
-            self._derived_total += len(facts)
         predicate = ReasoningService.FACT_PREDICATE[name]
         for t in facts:
             if t.predicate == predicate:
@@ -856,6 +835,8 @@ class Hub:
                 "holdoutAccuracy": self._holdout_accuracy.get(analyzer, 0.0),
                 "predictions": self.analytics.counters.get(analyzer, 0),
             }
+        counts = self.registry.counts()
+        medical = dict(self.med_interop.counters)
         return {
             "scenario": {
                 "seed": self.config.seed,
@@ -864,26 +845,30 @@ class Hub:
                 "users": dict(sorted(self.config.users.items())),
             },
             "resolution": {**self._resolution, "cacheHitRatio": ratio},
-            "requests": list(self._request_records),
+            "requests": [*self._request_records, *(self._late_records or ())],
             "faults": list(self._fault_log),
             "objects": {
                 "virtual": len(self.registry.vos()),
                 "composite": len(self.registry.cvos()),
-                **self.registry.counts(),
-                "ingestRejected": self._ingest_rejected,
+                **counts,
+                "ingestRejected": counts["stale_dropped"],
             },
             "ruleFirings": dict(sorted(self._rule_firings.items())),
             "alerts": dict(sorted(self._alerts.items())),
             "inference": {
                 "runs": dict(sorted(self.reasoning.counters.items())),
-                "derivedFacts": self._derived_total,
+                "derivedFacts": self.reasoning.derived_facts,
             },
             "analytics": analytics,
             "interop": {
                 "hub": dict(sorted(self.interop.counters.items())),
-                "medical": dict(sorted(self.med_interop.counters.items())),
+                "medical": dict(sorted(medical.items())),
             },
-            "validation": dict(self._validation),
+            "validation": {
+                "batches": medical["validate"],
+                "valid": medical["synchronize"],
+                "invalid": medical["validate"] - medical["synchronize"],
+            },
             "mashups": {
                 "cached": len(self._mashups),
                 "signatures": sorted(self._mashups),

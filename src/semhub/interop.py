@@ -360,76 +360,76 @@ _MAX_PERMUTED_PATTERNS = 6
 
 def _canonical_query(q: Query) -> tuple[Query, str]:
     """Normalize to a canonical variant: variables renumbered by first
-    occurrence, patterns ordered to minimize the serialized form (trying all
-    orders up to a size cap, ties broken by the renamed filters and select),
-    filters sorted.  Returns (normalized query, signature hash)."""
+    occurrence, patterns ordered to minimize the serialized form, filters
+    sorted.  Returns (normalized query, signature hash).
 
-    def renumber(patterns: Sequence[TriplePattern]):
-        mapping: dict[Variable, Variable] = {}
+    Up to a size cap, patterns are sorted by shape (the pattern with its
+    variables blanked, which renaming cannot change), and every order that
+    permutes patterns only within a group of one shape is tried, ties broken
+    by the renamed filters and select.  Past the cap, patterns are sorted by
+    their serialized form."""
+    # each pattern's serialized terms, a variable's starting with "?"
+    entries = [
+        (tuple(map(serialize_term, (p.subject, p.predicate, p.object))), p)
+        for p in q.where
+    ]
+    if len(entries) <= _MAX_PERMUTED_PATTERNS:
+        def shape(entry):
+            return [t if t[0] != "?" else "?" for t in entry[0]]
 
-        def rn(term):
-            if isinstance(term, Variable):
-                if term not in mapping:
-                    mapping[term] = Variable(f"v{len(mapping)}")
-                return mapping[term]
-            return term
-
-        renamed = [
-            TriplePattern(rn(p.subject), rn(p.predicate), rn(p.object))
-            for p in patterns
-        ]
-        return renamed, mapping
-
-    def serial(patterns: Sequence[TriplePattern]) -> tuple[str, ...]:
-        return tuple(
-            f"{serialize_term(p.subject)} {serialize_term(p.predicate)} {serialize_term(p.object)}"
-            for p in patterns
-        )
-
-    if len(q.where) <= _MAX_PERMUTED_PATTERNS:
-        orders = itertools.permutations(q.where)
+        entries.sort(key=shape)
+        groups = [list(g) for _, g in itertools.groupby(entries, shape)]
     else:
-        orders = iter([tuple(sorted(q.where, key=lambda p: serial([p])[0]))])
+        groups = [[e] for e in sorted(entries, key=lambda e: " ".join(e[0]))]
+    filter_terms = [(f"?{f.var.name}", f.op, serialize_term(f.value)) for f in q.filters]
+    select = [f"?{v.name}" for v in q.select]
 
-    def tiebreak(mapping: Mapping[Variable, Variable]) -> tuple:
+    best = None
+    for order in itertools.product(*map(itertools.permutations, groups)):
+        names: dict[str, str] = {}  # variable -> its renamed form, serialized
+        serial = tuple([
+            " ".join([
+                t if t[0] != "?" else names.setdefault(t, f"?v{len(names)}")
+                for t in terms
+            ])
+            for group in order
+            for terms, _ in group
+        ])
         # symmetric patterns can leave several orders with the same minimal
         # serialization, in which case the renaming of the variables they
         # disagree on would depend on input order; the filters and select
         # pin a single winner
-        return (
-            tuple(sorted(
-                f"{mapping[f.var].name} {f.op} {serialize_term(f.value)}"
-                for f in q.filters
-            )),
-            tuple(mapping[v].name for v in q.select),
+        key = (
+            serial,
+            sorted([f"{names[var]} {op} {value}" for var, op, value in filter_terms]),
+            [names[v] for v in select],
         )
-
-    best = None
-    for order in orders:
-        renamed, mapping = renumber(order)
-        key = (serial(renamed), *tiebreak(mapping))
         if best is None or key < best[0]:
-            best = (key, renamed, mapping)
-    _, patterns, mapping = best
+            best = (key, order, names)
+    (serial, _, _), order, names = best
 
+    renamed = {var: Variable(name[1:]) for var, name in names.items()}
+    patterns = [
+        TriplePattern(*[
+            term if t[0] != "?" else renamed[t]
+            for t, term in zip(terms, (p.subject, p.predicate, p.object))
+        ])
+        for group in order
+        for terms, p in group
+    ]
     filters = sorted(
-        (Filter(mapping[f.var], f.op, f.value) for f in q.filters),
+        [Filter(renamed[f"?{f.var.name}"], f.op, f.value) for f in q.filters],
         key=lambda f: (f.var.name, f.op, serialize_term(f.value)),
     )
-    select = [mapping[v] for v in q.select]
-    normalized = Query(select, patterns, filters, q.graph_scope)
+    normalized = Query([renamed[v] for v in select], patterns, filters, q.graph_scope)
 
-    basis = json.dumps(
-        {
-            "select": [v.name for v in select],
-            "where": list(serial(patterns)),
-            "filters": [
-                [f.var.name, f.op, serialize_term(f.value)] for f in filters
-            ],
-            "graphs": sorted(g.value for g in q.graph_scope),
-        },
-        sort_keys=True,
-    )
+    # repr of lists of strings is one-to-one, so equal bases mean equal queries
+    basis = repr((
+        [v.name for v in normalized.select],
+        serial,
+        [[f.var.name, f.op, serialize_term(f.value)] for f in filters],
+        sorted([g.value for g in q.graph_scope]),
+    ))
     return normalized, hashlib.sha256(basis.encode()).hexdigest()
 
 

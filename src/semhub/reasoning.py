@@ -245,18 +245,17 @@ class ReasoningService:
         self,
         registry: ObjectRegistry,
         programs: Mapping[str, Sequence[InferenceRule]],
-        validate: bool = True,
     ):
         self.registry = registry
         self.store = registry.store
         self.programs = {name: tuple(rules) for name, rules in programs.items()}
         self._lock = threading.Lock()
         self.counters: dict[str, int] = {name: 0 for name in self.programs}
-        if validate:
-            if "activity" in self.programs:
-                _validate_exclusive_activity(self.programs["activity"])
-            if "physio-status" in self.programs:
-                _validate_exclusive_physio(self.programs["physio-status"])
+        self.derived_facts = 0
+        if "activity" in self.programs:
+            _validate_exclusive_activity(self.programs["activity"])
+        if "physio-status" in self.programs:
+            _validate_exclusive_physio(self.programs["physio-status"])
 
     # --- plumbing -------------------------------------------------------
 
@@ -305,6 +304,7 @@ class ReasoningService:
                     raise AmbiguousStatus(f"multiple statuses derived: {names}")
                 raise AmbiguousDerivation(f"multiple {name} facts derived: {names}")
             self.store.insert_all(out, derived)
+            self.derived_facts += len(derived)
             return derived
 
     def _clear_user_facts(self, graph: Iri, user: Iri, predicate: Iri) -> None:

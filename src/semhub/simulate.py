@@ -87,8 +87,8 @@ class Schedule:
         return count
 
 
-def load_schedule(path: str | Path | None = None) -> Schedule:
-    doc = json.loads(Path(path or DATA_DIR / "schedule.json").read_text())
+def load_schedule() -> Schedule:
+    doc = json.loads((DATA_DIR / "schedule.json").read_text())
     slots = [("", "")] * 24
     for row in doc["hours"]:
         slots[row["hour"]] = (row["activity"], row["zone"])

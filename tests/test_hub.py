@@ -136,7 +136,6 @@ def test_single_domain_resolution(booted):
     assert res.path == "single-domain"
     assert res.domains == ("medical-facility",)
     assert res.signature is None
-    assert all("medical-facility" in vo.value for vo in res.object_ids)
 
     res = booted.resolve("analytics.location")
     assert res.domains == ("smart-office",)
@@ -262,6 +261,16 @@ def test_observations_flowed_over_the_bus(ran):
     assert report["objects"]["ingestRejected"] == 0
 
 
+def test_stale_observation_is_counted_once_by_the_registry(booted):
+    vo_id = booted._vo_index[("smart-home", "motion", "alice")]
+    obs = Observation(vo_id, booted.schedule.wall_ms(1), integer(3), 1)
+    for _ in range(2):
+        booted.broker.publish(Message(Topic.parse("obs/smart-home/motion/alice"), obs))
+    objects = booted.report()["objects"]
+    assert objects["observations"] == 1
+    assert objects["ingestRejected"] == objects["stale_dropped"] == 1
+
+
 def test_step_publishes_typed_observations(booted):
     seen = []
     booted.broker.subscribe("spy", "obs/#", qos=0, callback=seen.append)
@@ -290,6 +299,24 @@ def test_medical_batches_validated_and_synchronized(ran):
     assert any(t.predicate == vocab.PATIENT_ID for t in vitals)
 
 
+def test_invalid_medical_batch_is_counted(booted, monkeypatch):
+    validate = booted.med_interop.validate
+    failed = []
+
+    def fail_once(triples, ctx):
+        report = validate(triples, ctx)
+        if failed:
+            return report
+        failed.append(report)
+        return replace(report, valid=False)
+
+    monkeypatch.setattr(booted.med_interop, "validate", fail_once)
+    for _ in range(3):
+        booted._medical_batch(booted.schedule.wall_ms(0))
+    assert len(failed) == 1
+    assert booted.report()["validation"] == {"batches": 3, "valid": 2, "invalid": 1}
+
+
 def test_central_vitals_keeps_a_window_of_medical_batches():
     h = Hub(ScenarioConfig(duration_ticks=600, medical_batch_interval=2))
     h.boot()
@@ -299,9 +326,9 @@ def test_central_vitals_keeps_a_window_of_medical_batches():
     seen = set()
     try:
         for tick in range(600):
-            batches = h._validation["batches"]
+            batches = h.med_interop.counters["validate"]
             h._step(tick, (), ())
-            if h._validation["batches"] == batches:
+            if h.med_interop.counters["validate"] == batches:
                 continue
             present = {t.subject for t in h.store.triples(hubmod.CENTRAL_VITALS_GRAPH)}
             new_subjects.append(present - seen)
@@ -382,6 +409,32 @@ def test_zero_duration_report_is_all_zero():
     for analyzer in report["analytics"].values():
         assert analyzer["predictions"] == 0
         assert analyzer["holdoutAccuracy"] == 0.0
+
+
+def test_requests_after_the_run_keep_a_tail(monkeypatch):
+    monkeypatch.setattr(hubmod, "REQUEST_RECORD_TAIL", 3)
+    h = Hub(
+        ScenarioConfig(
+            duration_ticks=2,
+            requests=(
+                ScriptedRequest(0, "reason.activity", "alice"),
+                ScriptedRequest(1, "analytics.location", "alice"),
+            ),
+        )
+    )
+    try:
+        h.run()
+        for _ in range(5):
+            h.submit_request("reason.activity", "alice")
+        report = h.report()
+    finally:
+        h.close()
+    assert [r["id"] for r in report["requests"]] == [
+        "req-0001", "req-0002", "req-0005", "req-0006", "req-0007"
+    ]
+    resolution = report["resolution"]
+    assert resolution["single-domain"] == 7
+    assert sum(v for k, v in resolution.items() if k != "cacheHitRatio") == 7
 
 
 def test_unknown_user_is_a_failed_request(booted):

@@ -402,6 +402,57 @@ def test_permuted_patterns_hit():
     assert status == "hit"
 
 
+def counted_orders(monkeypatch) -> list:
+    """Count the pattern orders the query-log signature tries: each comes out
+    of one `itertools.product` over the same-shape groups."""
+    tried = []
+    product = interop.itertools.product
+
+    def counting(*groups):
+        for order in product(*groups):
+            tried.append(order)
+            yield order
+
+    monkeypatch.setattr(interop.itertools, "product", counting)
+    return tried
+
+
+def test_distinct_shapes_try_one_pattern_order(monkeypatch):
+    s = Variable("s")
+    where = [
+        TriplePattern(s, Iri(f"urn:sem:p{i}"), Variable(f"o{i}"))
+        for i in range(interop._MAX_PERMUTED_PATTERNS)
+    ]
+    tried = counted_orders(monkeypatch)
+    query_signature(Query([s], where))
+    assert len(tried) == 1  # trying every order would be 720
+
+
+def test_renamed_permuted_query_with_same_shape_patterns_hits(monkeypatch):
+    store, log = make_store(), QueryLog()
+
+    def query(names, order):
+        s, v, w, x, y = (Variable(n) for n in names)
+        where = [
+            TriplePattern(s, vocab.TYPE, VITALS),
+            TriplePattern(s, HR, v),
+            TriplePattern(s, HR, w),
+            TriplePattern(x, HR, y),
+            TriplePattern(x, vocab.TYPE, VITALS),
+        ]
+        return Query([s, w], [where[i] for i in order], [Filter(v, ">", integer(60))], [CENTRAL])
+
+    first = query("svwxy", range(5))
+    again = query(("rec", "lo", "hi", "other", "val"), (2, 4, 0, 3, 1))
+    tried = counted_orders(monkeypatch)
+    assert process_query(first, log, store)[1] == "miss-generated"
+    assert process_query(again, log, store)[1] == "hit"
+    assert len(log) == 1
+    # within each call: 2 orders of the two type patterns times 6 of the three
+    # heart-rate patterns
+    assert len(tried) == 2 * 12
+
+
 def test_different_constants_are_distinct():
     q1, q2 = hr_query(), hr_query()
     q3 = Query(q2.select, q2.where, [Filter(Variable("v"), ">", integer(61))], q2.graph_scope)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from semhub import vocab
+from semhub import reasoning, vocab
 from semhub.errors import AmbiguousActivity, RuleError, UnknownConcept
 from semhub.interop import OntologyContext, PredicateSpec
 from semhub.objects import ObjectRegistry, Observation, VirtualObject
@@ -322,12 +322,12 @@ def test_overlapping_program_rejected_at_load():
         ReasoningService(registry, {"activity": overlapping_activity_rules()})
 
 
-def test_ambiguous_activity_surfaces_at_runtime():
+def test_ambiguous_activity_surfaces_at_runtime(monkeypatch):
+    # skip the load-time check so the overlap reaches a run
+    monkeypatch.setattr(reasoning, "_validate_exclusive_activity", lambda rules: None)
     store = GraphStore()
     registry = ObjectRegistry(store)
-    service = ReasoningService(
-        registry, {"activity": overlapping_activity_rules()}, validate=False
-    )
+    service = ReasoningService(registry, {"activity": overlapping_activity_rules()})
     motion = add_vo(registry, "motion", vocab.MOTION_COUNT)
     feed(registry, motion, [3], t0=BASE_TS)
     with pytest.raises(AmbiguousActivity):
