@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import services, vocab
-from .analytics import AnalyticsService, build_location_features, load_analyzer_configs
+from .analytics import MINUTE_MS, AnalyticsService, build_location_features, load_analyzer_configs
 from .bus import Broker, Delivery, Message, Topic
 from .errors import (
     MalformedScenario,
@@ -130,8 +130,6 @@ VITALS_WINDOW_BATCHES = 12
 # record made before `run()` returns is kept.  A server answering requests
 # after the run would otherwise keep one record per request it ever served.
 REQUEST_RECORD_TAIL = 1024
-
-MINUTE_MS = 60_000
 
 # The smallest training part of a split: the bundled k-NN analyzers use k = 5.
 MIN_TRAINING_INSTANCES = 5

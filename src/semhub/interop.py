@@ -367,20 +367,20 @@ def _canonical_query(q: Query) -> tuple[Query, str]:
     variables blanked, which renaming cannot change), and every order that
     permutes patterns only within a group of one shape is tried, ties broken
     by the renamed filters and select.  Past the cap, patterns are sorted by
-    their serialized form."""
+    shape, then by their serialized form."""
     # each pattern's serialized terms, a variable's starting with "?"
     entries = [
         (tuple(map(serialize_term, (p.subject, p.predicate, p.object))), p)
         for p in q.where
     ]
-    if len(entries) <= _MAX_PERMUTED_PATTERNS:
-        def shape(entry):
-            return [t if t[0] != "?" else "?" for t in entry[0]]
+    def shape(entry):
+        return [t if t[0] != "?" else "?" for t in entry[0]]
 
+    if len(entries) <= _MAX_PERMUTED_PATTERNS:
         entries.sort(key=shape)
         groups = [list(g) for _, g in itertools.groupby(entries, shape)]
     else:
-        groups = [[e] for e in sorted(entries, key=lambda e: " ".join(e[0]))]
+        groups = [[e] for e in sorted(entries, key=lambda e: (shape(e), " ".join(e[0])))]
     filter_terms = [(f"?{f.var.name}", f.op, serialize_term(f.value)) for f in q.filters]
     select = [f"?{v.name}" for v in q.select]
 

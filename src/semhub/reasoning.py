@@ -14,6 +14,7 @@ its output graph, replacing the user's previous facts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 from dataclasses import dataclass, field
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import vocab
+from .analytics import MINUTE_MS
 from .errors import (
     AmbiguousActivity,
     AmbiguousDerivation,
@@ -214,9 +216,6 @@ def load_rule_file(path: str | Path) -> list[InferenceRule]:
 
 # --- window aggregation -----------------------------------------------------
 
-MINUTE_MS = 60_000
-
-
 def _mean_literal(values: Sequence[Literal]) -> Literal:
     total = sum(Decimal(v.lexical) for v in values)
     mean = (total / Decimal(len(values))).quantize(Decimal("0.0001"))
@@ -252,10 +251,8 @@ class ReasoningService:
         self._lock = threading.Lock()
         self.counters: dict[str, int] = {name: 0 for name in self.programs}
         self.derived_facts = 0
-        if "activity" in self.programs:
-            _validate_exclusive_activity(self.programs["activity"])
-        if "physio-status" in self.programs:
-            _validate_exclusive_physio(self.programs["physio-status"])
+        for name, rules in self.programs.items():
+            _validate_exclusive(name, rules, self.FACT_PREDICATE[name])
 
     # --- plumbing -------------------------------------------------------
 
@@ -372,61 +369,60 @@ class ReasoningService:
 # --- mutual-exclusion validation at load ------------------------------------
 
 _CHECK_USER = Iri("urn:sem:user:__exclusion_check__")
+_PLACEHOLDER = Iri("urn:sem:__exclusion_check__:value")
 
 
-def _derivable_facts(
-    rules: Sequence[InferenceRule], facts: list[Triple], predicate: Iri
-) -> set[Term]:
-    return {
-        t.object
-        for t in _derive("check", rules, facts)
-        if t.subject == _CHECK_USER and t.predicate == predicate
-    }
+def _probes(constants: Sequence[Term]) -> list[Term]:
+    """One value in each part that `constants` cut the number line into:
+    below the least, at each, between neighbours and above the greatest, so
+    every filter against them takes each of its truth values at some probe.
+    Constants of any other kind, or none, are probed at themselves and at
+    one IRI equal to none of them."""
+    kinds = {c.datatype if isinstance(c, Literal) else None for c in constants}
+    if kinds not in ({"integer"}, {"decimal"}):
+        return [*dict.fromkeys(constants), _PLACEHOLDER]
+    (datatype,) = kinds
+    cs = sorted({c.value() for c in constants})
+    points = [cs[0] - 1, *cs, cs[-1] + 1]
+    for a, b in zip(cs, cs[1:]):
+        if datatype == "decimal":
+            points.append((a + b) / 2)
+        elif b - a > 1:
+            points.append((a + b) // 2)
+    return [Literal(format(x, "f") if datatype == "decimal" else str(x), datatype)
+            for x in sorted(points)]
 
 
-def _validate_exclusive_activity(rules: Sequence[InferenceRule]) -> None:
-    """Reject activity programs that can derive two different activities for
-    one user; probed over a grid straddling every rule boundary."""
-    u = _CHECK_USER
-    for hour in (0, 2, 5, 6, 10, 12, 21, 22, 23):
-        for motion in (0, 1, 5, 19, 20, 45):
-            for lux_present, lux in ((True, "0"), (True, "49.9"), (True, "50"),
-                                     (True, "50.1"), (True, "90"), (False, "0")):
-                facts = [
-                    Triple(u, vocab.HOUR_OF_DAY, integer(hour)),
-                    Triple(u, vocab.MAX_MOTION_30M, integer(motion)),
-                ]
-                if lux_present:
-                    facts.append(
-                        Triple(u, vocab.MEAN_LUMINOSITY, Literal(lux, "decimal"))
-                    )
-                derived = _derivable_facts(rules, facts, vocab.CURRENT_ACTIVITY)
-                if len(derived) > 1:
-                    names = ", ".join(sorted(serialize_term(d) for d in derived))
-                    raise RuleError(
-                        f"activity rules overlap at hour={hour} motion={motion} "
-                        f"lux={lux if lux_present else 'absent'}: {names}"
-                    )
-
-
-def _validate_exclusive_physio(rules: Sequence[InferenceRule]) -> None:
-    u = _CHECK_USER
-    hr_points = ("30", "39.9", "40", "40.1", "49.9", "50", "72", "100", "100.1",
-                 "115", "129.9", "130", "130.1", "150")
-    sys_points = ("70", "79.9", "80", "80.1", "89.9", "90", "118", "130",
-                  "130.1", "145", "159.9", "160", "160.1", "180")
-    for hr in hr_points:
-        for sys in sys_points:
-            facts = [
-                Triple(u, vocab.MEAN_HEART_RATE_15M, Literal(hr, "decimal")),
-                Triple(u, vocab.MEAN_SYSTOLIC_60M, Literal(sys, "decimal")),
-            ]
-            derived = _derivable_facts(rules, facts, vocab.PHYSIO_STATUS)
-            if len(derived) > 1:
-                names = ", ".join(sorted(serialize_term(d) for d in derived))
-                raise RuleError(
-                    f"physio rules overlap at hr={hr} sys={sys}: {names}"
-                )
+def _validate_exclusive(
+    name: str, rules: Sequence[InferenceRule], fact_predicate: Iri
+) -> None:
+    """Refuse a program that can derive two `fact_predicate` objects for one
+    user.  Its inputs are the predicates its rules read as `?u <p> ?x`; each
+    is probed absent and at the `_probes` of the constants that filters
+    compare its ?x with, and the rules run on every combination of probes."""
+    constants: dict[Iri, list[Term]] = {}
+    for rule in rules:
+        reads: dict[Variable, list[Iri]] = {}
+        for pat in rule.body:
+            p, o = pat.predicate, pat.object
+            if isinstance(pat.subject, Variable) and isinstance(p, Iri) and isinstance(o, Variable):
+                constants.setdefault(p, [])
+                reads.setdefault(o, []).append(p)
+        for f in rule.filters:
+            for p in reads.get(f.var, ()):
+                constants[p].append(f.value)
+    predicates = sorted(constants, key=lambda p: p.value)
+    probes = [[None, *_probes(constants[p])] for p in predicates]
+    for values in itertools.product(*probes):
+        facts = [Triple(_CHECK_USER, p, v)
+                 for p, v in zip(predicates, values) if v is not None]
+        derived = {t.object for t in _derive(name, rules, facts)
+                   if t.subject == _CHECK_USER and t.predicate == fact_predicate}
+        if len(derived) > 1:
+            at = ", ".join(f"{p.value}={'absent' if v is None else serialize_term(v)}"
+                           for p, v in zip(predicates, values))
+            names = ", ".join(sorted(serialize_term(d) for d in derived))
+            raise RuleError(f"program {name}: rules overlap at {at}: {names}")
 
 
 def load_default_programs() -> dict[str, list[InferenceRule]]:

@@ -428,6 +428,17 @@ def test_distinct_shapes_try_one_pattern_order(monkeypatch):
     assert len(tried) == 1  # trying every order would be 720
 
 
+def test_renaming_past_the_permutation_cap_keeps_the_signature():
+    def query(a, b):
+        a, b = Variable(a), Variable(b)
+        where = [TriplePattern(a, Iri("urn:sem:p0"), b), TriplePattern(b, Iri("urn:sem:p1"), a)]
+        where += [TriplePattern(a, Iri(f"urn:sem:q{i}"), Variable(f"o{i}")) for i in range(5)]
+        return Query([a], where)
+
+    assert len(query("a", "b").where) > interop._MAX_PERMUTED_PATTERNS
+    assert query_signature(query("a", "b")) == query_signature(query("b", "a"))
+
+
 def test_renamed_permuted_query_with_same_shape_patterns_hits(monkeypatch):
     store, log = make_store(), QueryLog()
 

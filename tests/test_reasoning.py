@@ -322,9 +322,67 @@ def test_overlapping_program_rejected_at_load():
         ReasoningService(registry, {"activity": overlapping_activity_rules()})
 
 
+def one_predicate_rule(rule_id, predicate, filters, head_predicate, head_class):
+    u, x = Variable("u"), Variable("x")
+    return InferenceRule(
+        rule_id,
+        (TriplePattern(u, predicate, x),),
+        tuple(Filter(x, op, value) for op, value in filters),
+        ((u, head_predicate, vocab.class_iri(head_class)),),
+    )
+
+
+def test_physio_overlap_between_decimal_constants_rejected_at_load():
+    # overlap only on [60.5, 61]: found at the probes 60.5, 60.75 and 61
+    hr = vocab.MEAN_HEART_RATE_15M
+    rules = [
+        one_predicate_rule("normal", hr, [(">=", decimal("60")), ("<=", decimal("61"))],
+                           vocab.PHYSIO_STATUS, "Normal"),
+        one_predicate_rule("elevated", hr, [(">=", decimal("60.5")), ("<=", decimal("70"))],
+                           vocab.PHYSIO_STATUS, "Elevated"),
+    ]
+    with pytest.raises(RuleError, match="physio-status"):
+        ReasoningService(ObjectRegistry(GraphStore()), {"physio-status": rules})
+
+
+def test_activity_overlap_at_integer_midpoint_rejected_at_load():
+    # 5 < h < 8 holds at 6 and 7 only; the integer midpoint 6 is probed
+    filters = [(">", integer(5)), ("<", integer(8))]
+    rules = [
+        one_predicate_rule(f"r-{cls}", vocab.HOUR_OF_DAY, filters, vocab.CURRENT_ACTIVITY, cls)
+        for cls in ("Resting", "Active")
+    ]
+    with pytest.raises(RuleError, match='hourOfDay="6"'):
+        ReasoningService(ObjectRegistry(GraphStore()), {"activity": rules})
+
+
+def test_location_overlap_rejected_at_load():
+    u, z = Variable("u"), Variable("z")
+    body = (TriplePattern(u, vocab.LATEST_BEACON_ZONE, z),)
+    rules = [
+        InferenceRule("from-beacon", body, (), ((u, vocab.IN_ZONE, z),)),
+        InferenceRule("always-kitchen", body, (), ((u, vocab.IN_ZONE, vocab.zone_iri("Kitchen")),)),
+    ]
+    with pytest.raises(RuleError, match="location"):
+        ReasoningService(ObjectRegistry(GraphStore()), {"location": rules})
+
+
+def test_bundled_programs_each_checked_and_load(monkeypatch):
+    checked = []
+    validate = reasoning._validate_exclusive
+
+    def spy(name, rules, fact_predicate):
+        checked.append((name, fact_predicate))
+        validate(name, rules, fact_predicate)
+
+    monkeypatch.setattr(reasoning, "_validate_exclusive", spy)
+    ReasoningService(ObjectRegistry(GraphStore()), load_default_programs())
+    assert sorted(checked) == sorted(ReasoningService.FACT_PREDICATE.items())
+
+
 def test_ambiguous_activity_surfaces_at_runtime(monkeypatch):
     # skip the load-time check so the overlap reaches a run
-    monkeypatch.setattr(reasoning, "_validate_exclusive_activity", lambda rules: None)
+    monkeypatch.setattr(reasoning, "_validate_exclusive", lambda *args: None)
     store = GraphStore()
     registry = ObjectRegistry(store)
     service = ReasoningService(registry, {"activity": overlapping_activity_rules()})
