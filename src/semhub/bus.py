@@ -240,9 +240,12 @@ class Broker:
             self.stats["published"] += 1
             matched = 0
             acked = 0
-            for sid in sorted(self._subscriptions):
-                sub = self._subscriptions.get(sid)
-                if sub is None or not sub.filter.matches(message.topic):
+            # Sids only grow, so the dict is in sid order.  A subscription a
+            # callback adds waits for the next message; one it removes gets
+            # nothing more from this one.
+            subscriptions = self._subscriptions
+            for sub in tuple(subscriptions.values()):
+                if subscriptions.get(sub.sid) is not sub or not sub.filter.matches(message.topic):
                     continue
                 matched += 1
                 sub.outbox.append(_Pending(message, publisher, 0, self.now_ms))

@@ -85,7 +85,12 @@ def _apply_overrides(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioC
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.ticks is not None:
-        overrides["duration_ticks"] = args.ticks
+        # scripted events at or past the new end would never run
+        overrides.update(
+            duration_ticks=args.ticks,
+            requests=tuple(r for r in cfg.requests if r.tick < args.ticks),
+            faults=tuple(f for f in cfg.faults if f.tick < args.ticks),
+        )
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 

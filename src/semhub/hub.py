@@ -185,6 +185,13 @@ class ScenarioConfig:
             raise MalformedScenario(f"noiseRate must be within [0, 1], got {self.noise_rate}")
         if not 0 < self.holdout < 1:
             raise MalformedScenario(f"holdout must be within (0, 1), got {self.holdout}")
+        for key, events in (("requests", self.requests), ("faults", self.faults)):
+            for i, event in enumerate(events):
+                if not 0 <= event.tick < self.duration_ticks:
+                    raise MalformedScenario(
+                        f"{key}[{i}]: tick {event.tick} is outside this run's "
+                        f"ticks 0..{self.duration_ticks - 1}"
+                    )
         if not self.users:
             raise MalformedScenario("users must name at least one user")
         for name, level in sorted(self.users.items()):
@@ -212,26 +219,50 @@ class ScenarioConfig:
     @staticmethod
     def from_json(doc: Mapping) -> "ScenarioConfig":
         return ScenarioConfig(
-            seed=int(doc.get("seed", 42)),
-            duration_ticks=int(doc.get("durationTicks", 5000)),
-            noise_rate=float(doc.get("noiseRate", 0.1)),
-            users={str(k): int(v) for k, v in doc.get("users", {"alice": 3}).items()},
-            train_instances=int(doc.get("trainInstances", 500)),
-            holdout=float(doc.get("holdout", 0.2)),
-            cvo_rule_interval=int(doc.get("cvoRuleInterval", 10)),
-            medical_batch_interval=int(doc.get("medicalBatchInterval", 30)),
-            monitor_interval=int(doc.get("monitorInterval", 5)),
+            seed=_integer(doc.get("seed", 42), "seed"),
+            duration_ticks=_integer(doc.get("durationTicks", 5000), "durationTicks"),
+            noise_rate=_number(doc.get("noiseRate", 0.1), "noiseRate"),
+            users={
+                str(k): _integer(v, f"users: level of {str(k)!r}")
+                for k, v in doc.get("users", {"alice": 3}).items()
+            },
+            train_instances=_integer(doc.get("trainInstances", 500), "trainInstances"),
+            holdout=_number(doc.get("holdout", 0.2), "holdout"),
+            cvo_rule_interval=_integer(doc.get("cvoRuleInterval", 10), "cvoRuleInterval"),
+            medical_batch_interval=_integer(
+                doc.get("medicalBatchInterval", 30), "medicalBatchInterval"
+            ),
+            monitor_interval=_integer(doc.get("monitorInterval", 5), "monitorInterval"),
             requests=tuple(
-                ScriptedRequest(int(r["tick"]), str(r["capability"]), str(r["user"]))
-                for r in doc.get("requests", ())
+                ScriptedRequest(
+                    _integer(r["tick"], f"requests[{i}].tick"), str(r["capability"]), str(r["user"])
+                )
+                for i, r in enumerate(doc.get("requests", ()))
             ),
             faults=tuple(
                 FaultEvent(
-                    int(f["tick"]), str(f["kind"]), bool(f.get("removeTemplate", False))
+                    _integer(f["tick"], f"faults[{i}].tick"),
+                    str(f["kind"]),
+                    bool(f.get("removeTemplate", False)),
                 )
-                for f in doc.get("faults", ())
+                for i, f in enumerate(doc.get("faults", ()))
             ),
         )
+
+
+def _integer(value, key: str) -> int:
+    """A scenario value that must be a JSON integer: never a float, which
+    int() would truncate, nor a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedScenario(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A scenario value that must be a JSON number, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedScenario(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
@@ -302,6 +333,7 @@ class Hub:
         }
         self._user_models: dict[str, UserModel] = {}
         self._vo_index: dict[tuple[str, str, str], Iri] = {}
+        self._vo_topic: dict[Iri, Topic] = {}  # where each VO's observations are published
         self._vo_class: dict[Iri, str] = {}
         self._class_domains: dict[str, set[str]] = {}
         self._cvo_ids: list[Iri] = []
@@ -390,6 +422,7 @@ class Hub:
                     )
                     self.registry.register_vo(vo)
                     self._vo_index[(domain, sensor, name)] = vo.id
+                    self._vo_topic[vo.id] = Topic.parse(f"obs/{domain}/{sensor}/{name}")
                     self._vo_class[vo.id] = cls
                     self._class_domains.setdefault(cls, set()).add(domain)
 
@@ -514,8 +547,7 @@ class Hub:
             for e in emissions:
                 vo_id = self._vo_index[(domain, e.sensor, e.user)]
                 obs = Observation(vo_id, e.timestamp, e.value, e.sequence)
-                topic = Topic.parse(f"obs/{domain}/{e.sensor}/{e.user}")
-                self.broker.publish(Message(topic, obs), publisher=domain)
+                self.broker.publish(Message(self._vo_topic[vo_id], obs), publisher=domain)
             if records:
                 self._med_pending.extend(records)
         self.broker.advance(self.schedule.tick_ms)

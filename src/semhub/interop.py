@@ -201,7 +201,10 @@ def align(triples: Sequence[Triple], a: AlignmentMap) -> list[Triple]:
         obj: Term = t.object
         if t.predicate == vocab.TYPE and isinstance(obj, Iri):
             obj = a.equivalent.get(obj, obj)
-        rewritten.append(Triple(t.subject, predicate, obj))
+        if predicate is t.predicate and obj is t.object:
+            rewritten.append(t)
+        else:
+            rewritten.append(Triple(t.subject, predicate, obj))
 
     present = set(rewritten)
     parallel: dict[Triple, None] = {}

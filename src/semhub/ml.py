@@ -173,11 +173,10 @@ def _train_knn(data: Sequence[LabeledInstance], cfg: ModelConfig, kinds) -> dict
             continue
         column = [float(inst.features[name]) for inst in data]
         ranges[name] = (min(column), max(column))
-    rows = [
-        (_prepare(inst.features, cfg.feature_schema, kinds, ranges), inst.label)
-        for inst in data
-    ]
-    return {"ranges": ranges, "rows": rows}
+    rows = [_prepare(inst.features, cfg.feature_schema, kinds, ranges) for inst in data]
+    # one column per feature, in schema order, so prediction works a feature at a time
+    columns = [list(column) for column in zip(*rows)]
+    return {"ranges": ranges, "columns": columns, "labels": [inst.label for inst in data]}
 
 
 # --- prediction -------------------------------------------------------------
@@ -248,26 +247,27 @@ def _prepare(fv: FeatureVector, schema: Sequence[str], kinds, ranges) -> tuple:
     )
 
 
+def _nearest(m: TrainedModel, x: FeatureVector) -> list[tuple[float, str]]:
+    """The k nearest training rows to x as (distance, label), nearest first.
+
+    Each row's squared distance is summed a feature at a time, in schema
+    order, so it is the same float a row-by-row sum gives.  (distance,
+    label) orders neighbours independently of training order; rows equal
+    in both are interchangeable for the vote."""
+    query = _prepare(x, m.config.feature_schema, m.kinds, m.parameters["ranges"])
+    labels = m.parameters["labels"]
+    sums = [0.0] * len(labels)
+    for kind, column, q in zip(m.kinds, m.parameters["columns"], query):
+        if kind == "number":
+            sums = [d + (a - q) ** 2 for d, a in zip(sums, column)]
+        else:
+            sums = [d + 1.0 if a != q else d for d, a in zip(sums, column)]
+    return heapq.nsmallest(m.config.hyperparams["k"], zip(map(math.sqrt, sums), labels))
+
+
 def _predict_knn(m: TrainedModel, x: FeatureVector) -> Prediction:
     k = m.config.hyperparams["k"]
-    kinds = m.kinds
-    query = _prepare(x, m.config.feature_schema, kinds, m.parameters["ranges"])
-    numeric = [kind == "number" for kind in kinds]
-
-    def distance(row: tuple) -> float:
-        d = 0.0
-        for is_number, a, b in zip(numeric, row, query):
-            if is_number:
-                d += (a - b) ** 2
-            elif a != b:
-                d += 1.0
-        return math.sqrt(d)
-
-    # (distance, label) orders neighbours independently of training order;
-    # rows equal in both are interchangeable for the vote below
-    nearest = heapq.nsmallest(
-        k, ((distance(row), label) for row, label in m.parameters["rows"])
-    )
+    nearest = _nearest(m, x)
     votes: dict[str, int] = {}
     dist_sum: dict[str, float] = {}
     for d, label in nearest:

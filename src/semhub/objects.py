@@ -4,15 +4,17 @@ A VirtualObject mirrors one physical device: its observations land as triples
 in a per-VO data graph.  A CompositeVO groups member VOs and carries an
 ordered rule list; each evaluation pass matches rule conditions against a
 snapshot of the member data graphs and runs the action once per distinct
-binding.  Data graphs keep only the most recent observations per VO; the
-registry reference-counts the values and timestamps in each VO's retention
-window, so ingesting an observation and evicting the oldest cost O(1).
+binding.  Data graphs keep only the most recent observations per VO: each
+VO's retention window keeps the two triples every retained observation
+wrote, with a reference count per triple, so ingesting an observation and
+evicting the oldest cost O(1) and eviction removes the very triples the
+ingest built.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -208,24 +210,15 @@ class FiredRule:
 @dataclass(slots=True)
 class _Window:
     """One VO's retention window: its data graph, the retained observations
-    oldest first, how many of them carry each value and each timestamp, and
-    the sequence and timestamp of the last observation accepted."""
+    oldest first, each with the value and timestamp triples it wrote, how
+    many retained observations wrote each of those triples, and the
+    sequence and timestamp of the last observation accepted."""
 
     graph: Iri
-    buffer: deque[Observation] = field(default_factory=deque)
-    values: Counter[Literal] = field(default_factory=Counter)
-    times: Counter[int] = field(default_factory=Counter)
+    buffer: deque[tuple[Observation, Triple, Triple]] = field(default_factory=deque)
+    refs: dict[Triple, int] = field(default_factory=dict)
     last_seq: int | None = None
     last_ts: int | None = None
-
-
-def _release(counts: Counter, key) -> bool:
-    """Drop one reference to `key`; True when no retained observation holds it."""
-    if counts[key] > 1:
-        counts[key] -= 1
-        return False
-    del counts[key]
-    return True
 
 
 class ObjectRegistry:
@@ -233,9 +226,9 @@ class ObjectRegistry:
 
     Ingestion enforces per-source sequence monotonicity and the retention
     window; rule evaluation reads a snapshot, so concurrent ingestion only
-    affects the next pass.  Each VO's window is kept with reference counts of
-    the values and timestamps it holds: an evicted observation's triple
-    leaves the data graph only when no retained observation shares it, and
+    affects the next pass.  Each VO's window keeps reference counts on the
+    triples its observations wrote: an evicted observation's triple leaves
+    the data graph only when no retained observation wrote it too, and
     neither ingest nor eviction scans the window.
     """
 
@@ -365,31 +358,35 @@ class ObjectRegistry:
             window.last_seq = obs.sequence
             window.last_ts = obs.timestamp
 
-            window.buffer.append(obs)
-            window.values[obs.value] += 1
-            window.times[obs.timestamp] += 1
-            graph = window.graph
-            self.store.insert(graph, Triple(obs.source, vo.observed_property, obs.value))
-            self.store.insert(
-                graph, Triple(obs.source, vocab.OBSERVED_AT, integer(obs.timestamp))
+            written = (
+                Triple(obs.source, vo.observed_property, obs.value),
+                Triple(obs.source, vocab.OBSERVED_AT, integer(obs.timestamp)),
             )
+            window.buffer.append((obs, *written))
+            refs = window.refs
+            for t in written:
+                refs[t] = refs.get(t, 0) + 1
+            self.store.insert_all(window.graph, written)
             self._counts["observations"] += 1
 
+            released = []
             while len(window.buffer) > self.retention:
-                old = window.buffer.popleft()
-                if _release(window.values, old.value):
-                    self.store.remove(graph, Triple(vo.id, vo.observed_property, old.value))
-                if _release(window.times, old.timestamp):
-                    self.store.remove(
-                        graph, Triple(vo.id, vocab.OBSERVED_AT, integer(old.timestamp))
-                    )
+                for t in window.buffer.popleft()[1:]:  # the evicted observation's triples
+                    n = refs[t]
+                    if n > 1:
+                        refs[t] = n - 1
+                    else:
+                        del refs[t]
+                        released.append(t)
                 self._counts["evicted"] += 1
+            if released:
+                self.store.remove_all(window.graph, released)
             return 2
 
     def buffered(self, vo_id: Iri) -> list[Observation]:
         with self._lock:
             window = self._windows.get(vo_id)
-            return list(window.buffer) if window else []
+            return [obs for obs, _, _ in window.buffer] if window else []
 
     def last_sequence(self, vo_id: Iri) -> int | None:
         with self._lock:

@@ -51,6 +51,12 @@ class Iri:
         if not v or ":" not in v or _SPACE_RE.search(v):
             raise MalformedIri(f"not an absolute IRI: {v!r}")
 
+    def __eq__(self, other) -> bool:
+        return self is other or (other.__class__ is Iri and self.value == other.value)
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
     def __str__(self) -> str:
         return self.value
 
@@ -138,15 +144,34 @@ def string(s: str) -> Literal:
 
 @dataclass(frozen=True, slots=True)
 class Triple:
+    """One statement.  Its hash is computed once, when it is built, and kept
+    in a slot that comparison, construction and repr skip: graphs,
+    refcounts and fact sets look triples up far more often than they build
+    them.  Like a str's, the hash is valid only in the process that made it."""
+
     subject: Iri
     predicate: Iri
     object: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.subject, Iri) or not isinstance(self.predicate, Iri):
             raise MalformedIri("triple subject and predicate must be IRIs")
         if not isinstance(self.object, (Iri, Literal)):
             raise MalformedIri("triple object must be an IRI or a literal")
+        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            other.__class__ is Triple
+            and self._hash == other._hash
+            # a tuple compares items that are the same object without calling __eq__
+            and (self.subject, self.predicate, self.object)
+            == (other.subject, other.predicate, other.object)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -534,17 +559,43 @@ class Step:
             out.extend([row] * len(cands))
 
 
+def _join_order(patterns: Sequence[TriplePattern]) -> list[TriplePattern]:
+    """The patterns in the order a plan joins them.  Each next pattern is
+    the first, in written order, of those that score highest on: sharing a
+    variable with the patterns already placed, then a determined subject or
+    predicate, then the number of determined positions; a position is
+    determined by a constant or by a variable already bound.  The order is
+    static and reads no statistics, so it costs one pass per pattern, and
+    a pattern that shares no variable is joined only when none is left
+    that does."""
+    left = list(patterns)
+    placed: list[TriplePattern] = []
+    bound: set[Variable] = set()
+
+    def score(p: TriplePattern) -> tuple[bool, bool, int]:
+        terms = (p.subject, p.predicate, p.object)
+        determined = [not isinstance(t, Variable) or t in bound for t in terms]
+        return any(t in bound for t in terms), determined[0] or determined[1], sum(determined)
+
+    while left:
+        best = max(left, key=score)  # max keeps the first of equal scores
+        left.remove(best)
+        placed.append(best)
+        bound.update(best.variables())
+    return placed
+
+
 class Plan:
     """A pattern list and its filters, compiled once into steps that join
-    left to right on tuple rows: row i holds the term of `variables[i]`,
-    the variables in first-occurrence order.  Each filter's constant is
-    parsed here, not per row."""
+    left to right on tuple rows, in `_join_order`: row i holds the term of
+    `variables[i]`, the variables in first-occurrence order of that join.
+    Each filter's constant is parsed here, not per row."""
 
     __slots__ = ("variables", "steps", "filters")
 
     def __init__(self, patterns: Sequence[TriplePattern], filters: Sequence[Filter] = ()):
         slots: dict[Variable, int] = {}
-        self.steps = tuple(Step(p, slots) for p in patterns)
+        self.steps = tuple(Step(p, slots) for p in _join_order(patterns))
         self.variables = tuple(slots)
         self.filters = tuple(
             (slots[f.var], f, _OPS[f.op],
@@ -685,12 +736,21 @@ class GraphStore:
                 self._indexes.pop(graph, None)
 
     def insert_all(self, graph: Iri, triples: Iterable[Triple]) -> int:
-        """Insert many triples; returns the number actually added."""
-        added = 0
+        """Insert many triples under one acquisition of the lock; returns the
+        number actually added.  As with `insert`, the graph comes into being
+        with its first triple, and its cached index is dropped only when
+        something was added."""
         with self._lock:
-            for t in triples:
-                if self.insert(graph, t):
-                    added += 1
+            g = self._graphs.get(graph, {})
+            size = len(g)
+            try:
+                for t in triples:
+                    g.setdefault(t)
+            finally:  # if `triples` raises part way, what it added stays and is indexed anew
+                added = len(g) - size
+                if added:
+                    self._graphs[graph] = g
+                    self._indexes.pop(graph, None)
         return added
 
     def graphs(self) -> list[Iri]:

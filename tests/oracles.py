@@ -278,8 +278,10 @@ def _unify(pattern: TriplePattern, t: Triple, binding):
 
 # --- unprepared k-nearest-neighbour ------------------------------------------
 
-def oracle_knn(data, schema: Sequence[str], k: int, x) -> tuple[str, dict[str, float]]:
-    """(label, scores) of kNN computed from the raw training instances.
+def oracle_knn(data, schema: Sequence[str], k: int, x) -> tuple[str, dict[str, float], list]:
+    """(label, scores, nearest) of kNN computed from the raw training
+    instances, one instance at a time; nearest is the k nearest as
+    (distance, label), nearest first.
 
     Numerics are scaled to the training range and clamped at predict time,
     every instance is ranked by (distance, label), the k nearest vote, and a
@@ -324,4 +326,4 @@ def oracle_knn(data, schema: Sequence[str], k: int, x) -> tuple[str, dict[str, f
         key=lambda lab: (dist_sum[lab], lab),
     )
     labels = sorted({inst.label for inst in data})
-    return label, {lab: votes.get(lab, 0) / k for lab in labels}
+    return label, {lab: votes.get(lab, 0) / k for lab in labels}, ranked[:k]

@@ -169,6 +169,30 @@ def test_unsubscribe_stops_delivery():
     assert not broker.unsubscribe(sid)
 
 
+def test_callbacks_changing_subscriptions_during_a_publish():
+    broker = Broker()
+    order = []
+
+    def noting(name):
+        return lambda d: order.append((name, d.payload))
+
+    def first(d):
+        noting("first")(d)
+        broker.subscribe("late", "obs/#", 0, noting("late"))
+        broker.unsubscribe(third)
+
+    broker.subscribe("c1", "obs/#", 0, first)
+    broker.subscribe("c2", "obs/+", 0, noting("second"))
+    third = broker.subscribe("c3", "obs/a", 0, noting("third"))
+    report = broker.publish_text("obs/a", "1")
+    # a subscription added in flight waits for the next message; one removed
+    # in flight gets nothing more; the rest are served in sid order
+    assert order == [("first", b"1"), ("second", b"1")]
+    assert report.matched_subscribers == 2
+    broker.publish_text("obs/a", "2")
+    assert order[2:] == [("first", b"2"), ("second", b"2"), ("late", b"2")]
+
+
 def test_broker_down_after_shutdown():
     broker = Broker()
     broker.shutdown()

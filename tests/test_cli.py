@@ -145,7 +145,22 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
     [
         (None, "No such file"),
         ("{not json", "Expecting property name"),
-        ('{"durationTicks": "x"}', "invalid literal for int()"),
+        ('{"durationTicks": "x"}', "durationTicks must be a JSON integer, got 'x'"),
+        ('{"durationTicks": 10.9}', "durationTicks must be a JSON integer, got 10.9"),
+        ('{"durationTicks": 1e9}', "durationTicks must be a JSON integer, got 1000000000.0"),
+        ('{"seed": 1.7}', "seed must be a JSON integer, got 1.7"),
+        ('{"seed": false}', "seed must be a JSON integer, got False"),
+        ('{"users": {"alice": true}}', "users: level of 'alice' must be a JSON integer, got True"),
+        ('{"noiseRate": true}', "noiseRate must be a JSON number, got True"),
+        ('{"holdout": "0.2"}', "holdout must be a JSON number, got '0.2'"),
+        (
+            '{"requests": [{"tick": 2.5, "capability": "reason.activity", "user": "alice"}]}',
+            "requests[0].tick must be a JSON integer, got 2.5",
+        ),
+        (
+            '{"faults": [{"tick": 1, "kind": "reason.activity"}, {"tick": -5, "kind": "reason.activity"}]}',
+            "faults[1]: tick -5 is outside this run's ticks 0..49",
+        ),
         ('{"requests": [{}]}', "missing key 'tick'"),
         ('{"users": ["alice"]}', "has no attribute 'items'"),
         ('{"durationTicks": -1}', "durationTicks must not be negative, got -1"),
@@ -173,6 +188,28 @@ def test_malformed_scenario_rejected(capsys, monkeypatch, tmp_path, text, detail
         cfg.write_text(text, encoding="utf-8")
     err = run_cli_rejected(capsys, monkeypatch, "run", "--config", str(cfg), "--ticks", "50")
     assert detail in err
+
+
+@pytest.mark.parametrize("key, tick", [("requests", 10), ("requests", 99999), ("faults", 10)])
+def test_scripted_tick_past_the_run_rejected(capsys, monkeypatch, tmp_path, key, tick):
+    event = {"requests": {"capability": "reason.activity", "user": "alice"},
+             "faults": {"kind": "reason.activity"}}[key]
+    cfg = tmp_path / "scenario.json"
+    doc = {"durationTicks": 10, key: [dict(event, tick=0), dict(event, tick=tick)]}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    err = run_cli_rejected(capsys, monkeypatch, "run", "--config", str(cfg))
+    assert err == f"hub: error: {key}[1]: tick {tick} is outside this run's ticks 0..9\n"
+
+
+def test_ticks_drops_scripted_events_past_the_new_end(capsys, tmp_path):
+    cfg = tmp_path / "scenario.json"
+    doc = {"durationTicks": 40, "requests": [
+        {"tick": t, "capability": "reason.activity", "user": "alice"} for t in (5, 30)
+    ]}
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--ticks", "30")
+    assert code == 0
+    assert [r["tick"] for r in json.loads(out)["requests"]] == [5]
 
 
 def test_query_past_the_binding_limit_exits_nonzero(capsys, tmp_path):

@@ -22,6 +22,7 @@ from semhub.interop import (
     validate_description,
 )
 from semhub.semantic import (
+    MAX_BINDINGS,
     Filter,
     GraphStore,
     Iri,
@@ -31,6 +32,7 @@ from semhub.semantic import (
     TriplePattern,
     Variable,
     integer,
+    solve_query,
     string,
 )
 
@@ -492,6 +494,28 @@ def test_hit_keeps_caller_variable_names():
     process_query(hr_query("s", "v"), log, store)
     result, _ = process_query(hr_query("x", "y"), log, store)
     assert result.variables == (Variable("x"), Variable("y"))
+
+
+def test_canonical_order_does_not_decide_the_join():
+    # The signature orders patterns by predicate, which puts heartRate second
+    # here: joined in that order, 400 x 400 rows of two patterns that share
+    # no variable would pass MAX_BINDINGS.  The plan joins on ?r, then ?x.
+    dia, sys_, hr = (Iri(f"urn:sem:{p}") for p in ("diastolicPressure", "systolicPressure", "heartRate"))
+    store = GraphStore()
+    for i in range(400):
+        record, reading = Iri(f"urn:t:record:{i}"), Iri(f"urn:t:reading:{i}")
+        store.insert(CENTRAL, Triple(record, dia, integer(70 + i % 20)))
+        store.insert(CENTRAL, Triple(record, sys_, integer(100 + i % 60)))
+        store.insert(CENTRAL, Triple(reading, hr, integer(100 + i % 45)))
+    r, s, d, x = (Variable(n) for n in "rsdx")
+    q = Query([r, s], [TriplePattern(r, dia, d), TriplePattern(r, sys_, x), TriplePattern(s, hr, x)],
+              graph_scope=[CENTRAL])
+    assert 400 * 400 > MAX_BINDINGS
+    expected = solve_query(store.snapshot([CENTRAL]), q)
+    assert len(expected) > 0
+    result, status = process_query(q, QueryLog(), store)
+    assert status == "miss-generated"
+    assert result.rows == expected.rows
 
 
 def test_refused_query_is_neither_logged_nor_counted(monkeypatch):

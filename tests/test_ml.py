@@ -29,6 +29,7 @@ from semhub.ml import (
     predict,
     train,
 )
+from semhub import ml
 from semhub.simulate import generate_labeled_dataset
 
 from oracles import oracle_knn
@@ -240,7 +241,17 @@ def assert_knn_matches_oracle(data, schema, k, probes):
     m = train(data, cfg("knn", schema, k=k))
     for x in probes:
         p = predict(m, x)
-        assert (p.label, p.scores) == oracle_knn(data, schema, k, x), x
+        label, scores, nearest = oracle_knn(data, schema, k, x)
+        assert (p.label, p.scores, ml._nearest(m, x)) == (label, scores, nearest), x
+
+
+def out_of_training(fv):
+    """fv with each number far outside any training range (alternately
+    above and below) and each category one training never saw."""
+    return feature_vector([
+        (name, ("unseen-" + str(v)) if isinstance(v, str) else (v + 1000) * (-1) ** i)
+        for i, (name, v) in enumerate(fv.values)
+    ])
 
 
 def test_knn_matches_oracle_on_bundled_configs():
@@ -250,10 +261,10 @@ def test_knn_matches_oracle_on_bundled_configs():
         for seed in range(4):
             for noise in (0.1, 0.5):
                 data = generate_labeled_dataset(analyzer, 150, seed, noise)
-                train_part, probes = data[:100], data[100:]
+                train_part, probes = data[:100], [inst.features for inst in data[100:]]
                 assert_knn_matches_oracle(
                     train_part, c.feature_schema, c.hyperparams["k"],
-                    [inst.features for inst in probes],
+                    probes + [out_of_training(x) for x in probes[:10]],
                 )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -85,6 +86,39 @@ def test_triple_positions_enforced():
         Triple(S, P, Variable("v"))  # type: ignore[arg-type]
     with pytest.raises(MalformedIri):
         Triple(S, string("p"), S)  # type: ignore[arg-type]
+
+
+def test_triples_of_equal_terms_are_one_triple():
+    # each triple from its own term objects, so nothing is shared by identity
+    a = Triple(Iri("urn:t:s"), Iri("urn:t:p"), Literal("7", "integer"))
+    b = Triple(Iri("urn:t:s"), Iri("urn:t:p"), integer(7))
+    assert a is not b and a.subject is not b.subject
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    store = GraphStore()
+    assert store.insert_all(G, [a, b]) == 1
+    assert store.insert(G, b) is False
+    assert store.triples(G) == [a]
+    assert store.remove(G, b) is True and store.graph_size(G) == 0
+    assert Iri("urn:x") != Literal("urn:x") and Literal("urn:x") != Iri("urn:x")
+    assert Triple(S, P, S) != (S, P, S)
+    assert Triple(S, P, integer(1)) != Triple(S, P, Literal("1", "string"))
+    moved = dataclasses.replace(a, object=integer(8))
+    assert moved == Triple(S, P, integer(8)) and hash(moved) == hash(Triple(S, P, integer(8)))
+    assert moved != a
+    assert "_hash" not in repr(a)
+
+
+def test_insert_all_creates_a_graph_only_with_its_first_triple():
+    store = GraphStore()
+    assert store.insert_all(G, []) == 0
+    assert not store.has_graph(G)
+    t = Triple(S, P, integer(1))
+    assert store.insert_all(G, [t, t]) == 1
+    cached = store.snapshot([G])
+    assert t in cached
+    assert store.insert_all(G, [t]) == 0
+    assert store.snapshot([G]) is cached  # nothing added: the index stays
 
 
 def test_serialization_round_trip():
