@@ -235,15 +235,17 @@ class ScenarioConfig:
             monitor_interval=_integer(doc.get("monitorInterval", 5), "monitorInterval"),
             requests=tuple(
                 ScriptedRequest(
-                    _integer(r["tick"], f"requests[{i}].tick"), str(r["capability"]), str(r["user"])
+                    _integer(r["tick"], f"requests[{i}].tick"),
+                    _string(r["capability"], f"requests[{i}].capability"),
+                    _string(r["user"], f"requests[{i}].user"),
                 )
                 for i, r in enumerate(doc.get("requests", ()))
             ),
             faults=tuple(
                 FaultEvent(
                     _integer(f["tick"], f"faults[{i}].tick"),
-                    str(f["kind"]),
-                    bool(f.get("removeTemplate", False)),
+                    _string(f["kind"], f"faults[{i}].kind"),
+                    _boolean(f.get("removeTemplate", False), f"faults[{i}].removeTemplate"),
                 )
                 for i, f in enumerate(doc.get("faults", ()))
             ),
@@ -263,6 +265,21 @@ def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedScenario(f"{key} must be a JSON number, got {value!r}")
     return float(value)
+
+
+def _string(value, key: str) -> str:
+    """A scenario value that must be a JSON string, never str() of another."""
+    if not isinstance(value, str):
+        raise MalformedScenario(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    """A scenario value that must be a JSON boolean: bool() reads "false"
+    as true."""
+    if not isinstance(value, bool):
+        raise MalformedScenario(f"{key} must be a JSON boolean, got {value!r}")
+    return value
 
 
 def load_scenario(path: str | Path | None = None) -> ScenarioConfig:

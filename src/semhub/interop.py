@@ -132,16 +132,16 @@ class OntologyContext:
 
 
 def annotate(triples: Sequence[Triple], ctx: OntologyContext) -> list[Triple]:
-    """Input plus one conformsTo triple per subject typed with a ctx class."""
-    present = set(triples)
+    """Input plus one conformsTo triple per subject typed with a ctx class,
+    unless the input already links that subject."""
     target = vocab.ontology_iri(ctx.name)
-    enrichment: dict[Triple, None] = {}
-    for t in triples:
-        if t.predicate == vocab.TYPE and t.object in ctx.classes:
-            link = Triple(t.subject, vocab.CONFORMS_TO, target)
-            if link not in present:
-                enrichment.setdefault(link)
-    return list(triples) + list(enrichment)
+    conforms, typ, classes = vocab.CONFORMS_TO, vocab.TYPE, ctx.classes
+    linked = {t.subject for t in triples if t.predicate == conforms and t.object == target}
+    subjects = dict.fromkeys(
+        t.subject for t in triples
+        if t.predicate == typ and t.object in classes and t.subject not in linked
+    )
+    return list(triples) + [Triple(s, conforms, target) for s in subjects]
 
 
 # --- alignment --------------------------------------------------------------
@@ -205,6 +205,8 @@ def align(triples: Sequence[Triple], a: AlignmentMap) -> list[Triple]:
             rewritten.append(t)
         else:
             rewritten.append(Triple(t.subject, predicate, obj))
+    if not a.subsumed_by:
+        return rewritten
 
     present = set(rewritten)
     parallel: dict[Triple, None] = {}
@@ -288,10 +290,11 @@ class Synchronizer:
     """Merge incoming batches into central graphs.
 
     Functional predicates follow last-writer-wins keyed on the batch
-    timestamp; everything else is set-unioned.  A stale value older than the
-    stored one by more than the skew window is flagged (and still counted as
-    unchanged) rather than raised — cross-domain clocks drift, and dropping
-    the batch would lose the rest of it.
+    timestamp; everything else is set-unioned, in one `insert_all` per
+    batch.  A stale value older than the stored one by more than the skew
+    window is flagged (and still counted as unchanged) rather than raised —
+    cross-domain clocks drift, and dropping the batch would lose the rest
+    of it.
     """
 
     def __init__(self, store: GraphStore, functional: Iterable[Iri] = ()):
@@ -308,13 +311,13 @@ class Synchronizer:
         observed_at_ms: int,
     ) -> SyncSummary:
         summary = SyncSummary()
+        functional = self._functional
         with self._lock:
+            unioned = [t for t in incoming if t.predicate not in functional]
+            summary.added = self._store.insert_all(central_graph, unioned)
+            summary.unchanged = len(unioned) - summary.added
             for t in incoming:
-                if t.predicate not in self._functional:
-                    if self._store.insert(central_graph, t):
-                        summary.added += 1
-                    else:
-                        summary.unchanged += 1
+                if t.predicate not in functional:
                     continue
                 key = (central_graph, t.subject, t.predicate)
                 current = self._state.get(key)

@@ -52,7 +52,7 @@ RETENTION_WINDOW = 100
 
 
 def data_graph_of(vo_id: Iri) -> Iri:
-    return Iri(vo_id.value + "#data")
+    return Iri(vo_id + "#data")
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def _template_variables(value) -> set[Variable]:
     found: set[Variable] = set()
     if isinstance(value, Variable):
         found.add(value)
-    elif isinstance(value, str):
+    elif type(value) is str:  # an Iri is a term, not a template
         i = 0
         while (i := value.find(_PLACEHOLDER_PREFIX, i)) != -1:
             end = value.find("}", i)
@@ -127,7 +127,7 @@ def _template_variables(value) -> set[Variable]:
 
 def _substitute(value, binding: Mapping[Variable, Term]):
     """Instantiate `{?var}` placeholders in strings and nested containers."""
-    if isinstance(value, str):
+    if type(value) is str:  # an Iri is a term, not a template
         out = value
         for var, term in binding.items():
             token = "{?" + var.name + "}"

@@ -273,7 +273,7 @@ class ReasoningService:
             out.extend(
                 o for o in self.registry.buffered(vo.id) if _in_window(o, start, end)
             )
-        out.sort(key=lambda o: (o.timestamp, o.source.value, o.sequence))
+        out.sort(key=lambda o: (o.timestamp, o.source, o.sequence))
         return out
 
     def output_graph(self, name: str) -> Iri:
@@ -411,7 +411,7 @@ def _validate_exclusive(
         for f in rule.filters:
             for p in reads.get(f.var, ()):
                 constants[p].append(f.value)
-    predicates = sorted(constants, key=lambda p: p.value)
+    predicates = sorted(constants)
     probes = [[None, *_probes(constants[p])] for p in predicates]
     for values in itertools.product(*probes):
         facts = [Triple(_CHECK_USER, p, v)

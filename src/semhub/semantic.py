@@ -7,6 +7,12 @@ projection with deterministic row order).
 There are no blank nodes, no inference, and exactly five literal datatypes;
 this keeps query results exactly reproducible and easy to cross-check
 against brute-force enumeration.
+
+Every graph write, index and join looks terms up by IRI, so `Iri` is a
+`str` subclass, as RDFLib's `URIRef` is: dicts and sets hash and compare
+IRIs with str's C slots, not through a Python-level call.  An IRI thus
+equals its own string.  Formatting one in an f-string is slow (it copies
+through `__format__`), so hot paths concatenate instead.
 """
 
 from __future__ import annotations
@@ -32,36 +38,38 @@ DATATYPES = ("string", "integer", "decimal", "boolean", "dateTime")
 
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 _DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
-# Matches exactly the characters for which str.isspace() is true.
-_SPACE_RE = re.compile(r"\s")
 
 # Bindings one join step may hold.  The largest step of the bundled scenario
 # holds 12, and of the bench's queries on a 5000-tick store 5,024.
 MAX_BINDINGS = 100_000
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """Absolute IRI; equality is exact string equality."""
+class Iri(str):
+    """Absolute IRI: a `str` whose text was checked.  Hashing, equality and
+    ordering are str's own C slots, so the hash is `hash(text)` and an IRI
+    equals its own string (`Iri("urn:x") == "urn:x"`), but never a
+    `Literal` or `Variable`.  `str(iri)` and `.value` give the text as an
+    exact `str`, which copies it; an f-string copies it too, through
+    `__format__`, and takes two to five times as long as for a plain
+    `str`, so hot paths concatenate (`"<" + iri + ">"`) or use the IRI
+    itself."""
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = self.value
-        if not v or ":" not in v or _SPACE_RE.search(v):
-            raise MalformedIri(f"not an absolute IRI: {v!r}")
+    def __new__(cls, value):
+        # s.split() != [s] iff s holds a character that str.isspace() accepts
+        if not isinstance(value, str) or ":" not in value or value.split() != [value]:
+            raise MalformedIri(f"not an absolute IRI: {value!r}")
+        return str.__new__(cls, value)
 
-    def __eq__(self, other) -> bool:
-        return self is other or (other.__class__ is Iri and self.value == other.value)
+    __hash__ = str.__hash__
+    __eq__ = str.__eq__
+    __ne__ = str.__ne__
 
-    def __hash__(self) -> int:
-        return hash(self.value)
+    value = property(str.__str__, doc="The IRI's text, as an exact `str`.")
 
-    def __str__(self) -> str:
-        return self.value
-
-    def __lt__(self, other: "Iri") -> bool:
-        return self.value < other.value
+    def __repr__(self) -> str:
+        return f"Iri(value={str.__repr__(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,7 +80,7 @@ class Variable:
 
     def __post_init__(self):
         n = self.name
-        if not n or ":" in n or _SPACE_RE.search(n):
+        if not n or ":" in n or n.split() != [n]:
             raise MalformedIri(f"not a valid variable name: {n!r}")
 
     def __str__(self) -> str:
@@ -142,24 +150,38 @@ def string(s: str) -> Literal:
     return Literal(s, "string")
 
 
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
 @dataclass(frozen=True, slots=True)
 class Triple:
     """One statement.  Its hash is computed once, when it is built, and kept
     in a slot that comparison, construction and repr skip: graphs,
     refcounts and fact sets look triples up far more often than they build
-    them.  Like a str's, the hash is valid only in the process that made it."""
+    them.  It is hashed from str parts only (the IRIs, and a literal
+    object's lexical form and datatype), so building a triple runs no
+    Python-level `__hash__`; `__init__` is written out, checks and all, so
+    building one is one call.  Like a str's, the hash is valid only in the
+    process that made it."""
 
     subject: Iri
     predicate: Iri
     object: Term
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not isinstance(self.subject, Iri) or not isinstance(self.predicate, Iri):
+    def __init__(self, subject: Iri, predicate: Iri, object: Term):  # noqa: A002 - the field's name
+        if not isinstance(subject, Iri) or not isinstance(predicate, Iri):
             raise MalformedIri("triple subject and predicate must be IRIs")
-        if not isinstance(self.object, (Iri, Literal)):
+        if object.__class__ is Literal:
+            h = hash((subject, predicate, object.lexical, object.datatype))
+        elif isinstance(object, (Iri, Literal)):
+            h = hash((subject, predicate, object))
+        else:
             raise MalformedIri("triple object must be an IRI or a literal")
-        object.__setattr__(self, "_hash", hash((self.subject, self.predicate, self.object)))
+        _setattr(self, "subject", subject)
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "object", object)
+        _setattr(self, "_hash", h)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -302,7 +324,7 @@ def _escape(s: str) -> str:
 
 def serialize_term(t: PatternTerm) -> str:
     if isinstance(t, Iri):
-        return f"<{t.value}>"
+        return "<" + t + ">"  # an f-string formats a str subclass slowly
     if isinstance(t, Literal):
         return f'"{_escape(t.lexical)}"^^{t.datatype}'
     return f"?{t.name}"
@@ -413,9 +435,19 @@ class TripleIndex:
         self.triples: list[Triple] = list(triples)
         self.by_predicate: dict[Iri, list[Triple]] = {}
         self.by_subject: dict[Iri, list[Triple]] = {}
+        by_p, by_s = self.by_predicate, self.by_subject
+        # one lookup per key, and no throwaway list per triple as setdefault makes
         for t in self.triples:
-            self.by_predicate.setdefault(t.predicate, []).append(t)
-            self.by_subject.setdefault(t.subject, []).append(t)
+            ts = by_p.get(t.predicate)
+            if ts is None:
+                by_p[t.predicate] = [t]
+            else:
+                ts.append(t)
+            ts = by_s.get(t.subject)
+            if ts is None:
+                by_s[t.subject] = [t]
+            else:
+                ts.append(t)
 
     @classmethod
     def union(cls, parts: Sequence["TripleIndex"]) -> "TripleIndex":

@@ -161,6 +161,24 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
             '{"faults": [{"tick": 1, "kind": "reason.activity"}, {"tick": -5, "kind": "reason.activity"}]}',
             "faults[1]: tick -5 is outside this run's ticks 0..49",
         ),
+        (
+            '{"faults": [{"tick": 1, "kind": "reason.activity", "removeTemplate": "false"}]}',
+            "faults[0].removeTemplate must be a JSON boolean, got 'false'",
+        ),
+        (
+            '{"faults": [{"tick": 1, "kind": "reason.activity", "removeTemplate": 0}]}',
+            "faults[0].removeTemplate must be a JSON boolean, got 0",
+        ),
+        ('{"faults": [{"tick": 1, "kind": 7}]}', "faults[0].kind must be a JSON string, got 7"),
+        (
+            '{"requests": [{"tick": 1, "capability": 7, "user": "alice"}]}',
+            "requests[0].capability must be a JSON string, got 7",
+        ),
+        (
+            '{"requests": [{"tick": 1, "capability": "reason.activity", "user": "alice"},'
+            ' {"tick": 2, "capability": "reason.activity", "user": ["alice"]}]}',
+            "requests[1].user must be a JSON string, got ['alice']",
+        ),
         ('{"requests": [{}]}', "missing key 'tick'"),
         ('{"users": ["alice"]}', "has no attribute 'items'"),
         ('{"durationTicks": -1}', "durationTicks must not be negative, got -1"),

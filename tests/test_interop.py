@@ -339,6 +339,71 @@ def test_sync_order_free_for_disjoint_subjects():
     assert results[0] == results[1] == results[2]
 
 
+def reference_synchronize(store, state, functional, incoming, graph, ts):
+    """Synchronization as a sequence of single-triple store writes."""
+    summary = interop.SyncSummary()
+    for t in incoming:
+        if t.predicate not in functional:
+            if store.insert(graph, t):
+                summary.added += 1
+            else:
+                summary.unchanged += 1
+            continue
+        key = (graph, t.subject, t.predicate)
+        if key not in state:
+            store.insert(graph, t)
+            state[key] = (t.object, ts)
+            summary.added += 1
+            continue
+        value, seen = state[key]
+        if t.object == value:
+            state[key] = (value, max(seen, ts))
+            summary.unchanged += 1
+        elif ts > seen:
+            store.remove(graph, Triple(t.subject, t.predicate, value))
+            store.insert(graph, t)
+            state[key] = (t.object, ts)
+            summary.superseded += 1
+        else:
+            summary.unchanged += 1
+            summary.skew_rejected += ts < seen - interop.SKEW_WINDOW_MS
+    return summary
+
+
+def test_sync_matches_the_per_triple_reference():
+    a, b, c = (Iri(f"urn:t:{x}") for x in "abc")
+    note = Iri("urn:t:note")
+    batches = [
+        (1_000_000, [
+            Triple(a, vocab.TYPE, VITALS), Triple(a, HR, integer(70)),
+            Triple(b, note, string("x")), Triple(b, note, string("x")),  # a duplicate
+            Triple(c, HR, integer(60)), Triple(Iri("urn:t:a"), vocab.TYPE, VITALS),
+        ]),
+        (2_000_000, [
+            Triple(a, HR, integer(85)),  # supersedes 70
+            Triple(a, vocab.TYPE, VITALS), Triple(b, note, string("y")),
+            Triple(c, HR, integer(61)), Triple(c, HR, integer(62)),  # the second is not newer
+            Triple(b, HR, integer(90)),
+        ]),
+        (100_000, [  # older than the stored values by more than the skew window
+            Triple(a, HR, integer(50)), Triple(a, HR, integer(85)),
+            Triple(c, note, string("z")), Triple(c, note, string("z")),
+        ]),
+        (1_900_000, [Triple(b, HR, integer(91)), Triple(b, note, string("x"))]),  # stale, in the window
+    ]
+    store, reference = GraphStore(), GraphStore()
+    sync, state = Synchronizer(store, functional=[HR]), {}
+    summaries = []
+    for ts, batch in batches:
+        got = sync.synchronize(batch, CENTRAL, ts)
+        assert got == reference_synchronize(reference, state, {HR}, batch, CENTRAL, ts)
+        assert set(store.triples(CENTRAL)) == set(reference.triples(CENTRAL))
+        assert sync._state == state
+        summaries.append((got.added, got.superseded, got.unchanged, got.skew_rejected))
+    assert summaries == [(4, 0, 2, 0), (2, 2, 2, 0), (1, 0, 3, 1), (0, 0, 2, 0)]
+    assert store.graph_size(CENTRAL) == 7
+
+
 def test_evict_takes_out_subjects_and_their_state():
     store = GraphStore()
     sync = Synchronizer(store, functional=[HR])

@@ -406,6 +406,21 @@ def test_publish_payload_substitution():
     assert sent == [(f"alerts/{vo.id.value}", {"motion": "42", "unit": "count"})]
 
 
+def test_an_iri_in_an_action_is_a_term_not_a_template():
+    registry, store = make_registry()
+    vo = make_vo(registry)
+    registry.ingest(obs(vo, 1, 42))
+    s, v = Variable("s"), Variable("v")
+    odd = Iri("urn:t:{?ghost}")  # placeholder text, but an IRI, so never substituted
+    asserts = Rule("a", (TriplePattern(s, MOTION, v),), (), AssertTriples(((s, odd, v),)))
+    publish = Rule("p", (TriplePattern(s, MOTION, v),), (), PublishMessage("t", {"iri": odd}))
+    cvo = make_cvo(registry, store, [vo], [asserts, publish])
+    sent = []
+    registry.evaluate_cvo_rules(cvo.id, publisher=lambda t, p: sent.append(p))
+    assert store.contains(cvo.description_graph, Triple(vo.id, odd, integer(42)))
+    assert sent == [{"iri": odd}] and type(sent[0]["iri"]) is Iri
+
+
 def test_invoke_service_action():
     registry, store = make_registry()
     vo = make_vo(registry)

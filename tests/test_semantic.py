@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -45,6 +47,37 @@ def test_iri_validation():
     for bad in ("", "no-scheme", "urn:with space", "tab\there:x"):
         with pytest.raises(MalformedIri):
             Iri(bad)
+    for bad in (5, None, b"urn:x", ["urn:x"]):
+        with pytest.raises(MalformedIri):
+            Iri(bad)
+
+
+def test_iri_is_a_str_with_str_hashing_and_equality():
+    assert Iri.__hash__ is str.__hash__
+    assert Iri.__eq__ is str.__eq__ and Iri.__ne__ is str.__ne__
+    a, b = Iri("urn:t:" + "key"), Iri("urn:t:key")  # built separately
+    assert a is not b and a == b and hash(a) == hash(b) == hash("urn:t:key")
+    keys = {a: 1}
+    keys[b] = 2
+    assert len(keys) == 1 and keys[Iri("urn:t:key")] == 2
+    # an IRI equals its own string, by design; never a literal or variable
+    assert Iri("urn:x") == "urn:x" and "urn:x" == Iri("urn:x")
+    assert Iri("urn:x") != Literal("urn:x") and Literal("urn:x") != Iri("urn:x")
+    assert Iri("urn:x") != Variable("x") and Iri("urn:x") not in {Literal("urn:x")}
+    assert sorted([Iri("urn:b"), Iri("urn:a")]) == [Iri("urn:a"), Iri("urn:b")]
+    assert type(str(a)) is str and str(a) == "urn:t:key"
+    assert type(a.value) is str and a.value == "urn:t:key"
+    assert repr(a) == "Iri(value='urn:t:key')"
+    assert Iri(value="urn:t:key") == a
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_iri_pickle_and_copy_round_trip(protocol):
+    a = Iri("urn:t:s")
+    for back in (pickle.loads(pickle.dumps(a, protocol)), copy.copy(a), copy.deepcopy(a)):
+        assert type(back) is Iri and back == a and hash(back) == hash(a)
+    t = Triple(a, P, integer(3))
+    assert pickle.loads(pickle.dumps(t, protocol)) == t
 
 
 @pytest.mark.parametrize("space", [" ", "\x1c", "\u3000", "\n"], ids=repr)
