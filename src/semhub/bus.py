@@ -93,23 +93,42 @@ class TopicFilter:
 # --- messages ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
+@dataclass(frozen=True, slots=True)
 class Message:
     """One publication.  The payload is any value; the broker passes it to
-    subscribers, and to the dead-letter topic, unchanged and unread."""
+    subscribers, and to the dead-letter topic, unchanged and unread.
+
+    Every observation is published as one, so it is slotted with a
+    written-out `__init__` (building one is one call), and it pickles by
+    its fields, rebuilt through `__init__`."""
 
     topic: Topic
     payload: object
     qos: int = 0
     message_id: int | None = None
 
-    def __post_init__(self):
-        if self.qos not in (0, 1):
-            raise InvalidFilter(f"unsupported qos {self.qos}")
+    def __init__(self, topic: Topic, payload: object, qos: int = 0, message_id: int | None = None):
+        if qos not in (0, 1):
+            raise InvalidFilter(f"unsupported qos {qos}")
+        _setattr(self, "topic", topic)
+        _setattr(self, "payload", payload)
+        _setattr(self, "qos", qos)
+        _setattr(self, "message_id", message_id)
+
+    def __reduce__(self):
+        return Message, (self.topic, self.payload, self.qos, self.message_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
+    """One delivery attempt of a message to one subscription, as its
+    callback receives it; `duplicate` marks a qos-1 redelivery.  Built for
+    every subscriber of every message, so it is slotted and pickled like
+    `Message`."""
+
     subscription_id: int
     topic: Topic
     payload: object
@@ -117,6 +136,30 @@ class Delivery:
     message_id: int | None
     duplicate: bool
     publisher: str
+
+    def __init__(
+        self,
+        subscription_id: int,
+        topic: Topic,
+        payload: object,
+        qos: int,
+        message_id: int | None,
+        duplicate: bool,
+        publisher: str,
+    ):
+        _setattr(self, "subscription_id", subscription_id)
+        _setattr(self, "topic", topic)
+        _setattr(self, "payload", payload)
+        _setattr(self, "qos", qos)
+        _setattr(self, "message_id", message_id)
+        _setattr(self, "duplicate", duplicate)
+        _setattr(self, "publisher", publisher)
+
+    def __reduce__(self):
+        return Delivery, (
+            self.subscription_id, self.topic, self.payload, self.qos,
+            self.message_id, self.duplicate, self.publisher,
+        )
 
 
 @dataclass
@@ -140,7 +183,7 @@ class FaultInjector:
         return self.ack_drop_rate > 0 and self._rng.random() < self.ack_drop_rate
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     message: Message
     publisher: str

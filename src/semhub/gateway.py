@@ -1,7 +1,7 @@
 """Thin HTTP front for a hub: JSON in, JSON out, no framework.
 
 Routes:
-    POST /requests          {"capability": ..., "user": ..., "tick"?: int}
+    POST /requests          {"capability": str, "user": str, "tick"?: int}
     POST /queries           query document (select/where/filters/graphs)
     GET  /objects           registered object overview
     GET  /objects/{iri}     one object's description and recent readings
@@ -102,12 +102,16 @@ class _Handler(BaseHTTPRequestHandler):
             user = doc.get("user")
             if not capability or not user:
                 return self._send(400, {"error": "capability and user are required"})
+            for key, value in (("capability", capability), ("user", user)):
+                if type(value) is not str:  # str() would make any value a name
+                    error = f"{key} must be a JSON string, got {json.dumps(value)}"
+                    return self._send(400, {"error": error})
             tick = doc.get("tick")
             if tick is not None and type(tick) is not int:  # bool is an int subclass
                 error = f"tick must be a JSON integer, got {json.dumps(tick)}"
                 return self._send(400, {"error": error})
             try:
-                record = self.hub.submit_request(str(capability), str(user), tick)
+                record = self.hub.submit_request(capability, user, tick)
             except TickOutOfRange as exc:
                 return self._send(400, {"error": str(exc)})
             return self._send(200, record)

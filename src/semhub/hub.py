@@ -239,7 +239,7 @@ class ScenarioConfig:
                     _string(r["capability"], f"requests[{i}].capability"),
                     _string(r["user"], f"requests[{i}].user"),
                 )
-                for i, r in enumerate(doc.get("requests", ()))
+                for i, r in enumerate(_list(doc.get("requests", []), "requests"))
             ),
             faults=tuple(
                 FaultEvent(
@@ -247,7 +247,7 @@ class ScenarioConfig:
                     _string(f["kind"], f"faults[{i}].kind"),
                     _boolean(f.get("removeTemplate", False), f"faults[{i}].removeTemplate"),
                 )
-                for i, f in enumerate(doc.get("faults", ()))
+                for i, f in enumerate(_list(doc.get("faults", []), "faults"))
             ),
         )
 
@@ -271,6 +271,14 @@ def _string(value, key: str) -> str:
     """A scenario value that must be a JSON string, never str() of another."""
     if not isinstance(value, str):
         raise MalformedScenario(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    """A scenario value that must be a JSON list: iterating a string or an
+    object would read an empty one as no events."""
+    if not isinstance(value, list):
+        raise MalformedScenario(f"{key} must be a JSON list, got {value!r}")
     return value
 
 

@@ -71,12 +71,27 @@ class VirtualObject:
             raise UnknownSource(f"unknown VO kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
+@dataclass(frozen=True, slots=True)
 class Observation:
+    """One reading of a VO, as the bus carries it.  Slotted with a
+    written-out `__init__`, as every observation builds one."""
+
     source: Iri
     timestamp: int  # milliseconds since epoch
     value: Literal
     sequence: int
+
+    def __init__(self, source: Iri, timestamp: int, value: Literal, sequence: int):
+        _setattr(self, "source", source)
+        _setattr(self, "timestamp", timestamp)
+        _setattr(self, "value", value)
+        _setattr(self, "sequence", sequence)
+
+    def __reduce__(self):
+        return Observation, (self.source, self.timestamp, self.value, self.sequence)
 
 
 # --- rules ------------------------------------------------------------------
@@ -212,11 +227,16 @@ class _Window:
     """One VO's retention window: its data graph, the retained observations
     oldest first, each with the value and timestamp triples it wrote, how
     many retained observations wrote each of those triples, and the
-    sequence and timestamp of the last observation accepted."""
+    sequence and timestamp of the last observation accepted.
+
+    `refs` maps each triple to `[held, count]`, where `held` is the first
+    equal triple ingested: the data graph and the buffer keep that object,
+    so eviction finds it by identity, without calling `Triple.__eq__`, and
+    a repeated value is compared once and not written to the store again."""
 
     graph: Iri
     buffer: deque[tuple[Observation, Triple, Triple]] = field(default_factory=deque)
-    refs: dict[Triple, int] = field(default_factory=dict)
+    refs: dict[Triple, list] = field(default_factory=dict)
     last_seq: int | None = None
     last_ts: int | None = None
 
@@ -358,24 +378,30 @@ class ObjectRegistry:
             window.last_seq = obs.sequence
             window.last_ts = obs.timestamp
 
-            written = (
+            refs = window.refs
+            held = []
+            added = []
+            for t in (
                 Triple(obs.source, vo.observed_property, obs.value),
                 Triple(obs.source, vocab.OBSERVED_AT, integer(obs.timestamp)),
-            )
-            window.buffer.append((obs, *written))
-            refs = window.refs
-            for t in written:
-                refs[t] = refs.get(t, 0) + 1
-            self.store.insert_all(window.graph, written)
+            ):
+                ref = refs.get(t)
+                if ref is None:
+                    refs[t] = ref = [t, 0]
+                    added.append(t)
+                ref[1] += 1
+                held.append(ref[0])
+            window.buffer.append((obs, *held))
+            if added:
+                self.store.insert_all(window.graph, added)
             self._counts["observations"] += 1
 
             released = []
             while len(window.buffer) > self.retention:
                 for t in window.buffer.popleft()[1:]:  # the evicted observation's triples
-                    n = refs[t]
-                    if n > 1:
-                        refs[t] = n - 1
-                    else:
+                    ref = refs[t]
+                    ref[1] -= 1
+                    if not ref[1]:
                         del refs[t]
                         released.append(t)
                 self._counts["evicted"] += 1

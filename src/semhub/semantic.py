@@ -13,6 +13,12 @@ Every graph write, index and join looks terms up by IRI, so `Iri` is a
 IRIs with str's C slots, not through a Python-level call.  An IRI thus
 equals its own string.  Formatting one in an f-string is slow (it copies
 through `__format__`), so hot paths concatenate instead.
+
+A literal's lexical form is parsed once, when the literal is built, and the
+parsed value is kept: filters and rules compare values without parsing
+again, and `integer`/`decimal` build a literal from the value they hold.
+Triples and literals pickle by their fields and are rebuilt through
+`__init__`, so a loading process computes its own hashes and values.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from .errors import (
 
 DATATYPES = ("string", "integer", "decimal", "boolean", "dateTime")
 
-_INTEGER_RE = re.compile(r"^[+-]?\d+$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)$")
+# Matched whole (fullmatch): `$` would also accept a final newline.
+_INTEGER_RE = re.compile(r"[+-]?\d+")
+_DECIMAL_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)")
 
 # Bindings one join step may hold.  The largest step of the bundled scenario
 # holds 12, and of the bench's queries on a 5000-tick store 5,024.
@@ -91,11 +98,11 @@ def _parse_literal(lexical: str, datatype: str):
     if datatype == "string":
         return lexical
     if datatype == "integer":
-        if not _INTEGER_RE.match(lexical):
+        if not _INTEGER_RE.fullmatch(lexical):
             raise MalformedLiteral(f"bad integer literal: {lexical!r}")
         return int(lexical)
     if datatype == "decimal":
-        if not _DECIMAL_RE.match(lexical):
+        if not _DECIMAL_RE.fullmatch(lexical):
             raise MalformedLiteral(f"bad decimal literal: {lexical!r}")
         return Decimal(lexical)
     if datatype == "boolean":
@@ -115,19 +122,44 @@ def _parse_literal(lexical: str, datatype: str):
     raise MalformedLiteral(f"unknown datatype: {datatype!r}")
 
 
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
 @dataclass(frozen=True, slots=True)
 class Literal:
-    """Typed literal; the lexical form must parse under its datatype."""
+    """Typed literal; the lexical form must parse under its datatype.  It is
+    parsed once, when the literal is built, and the value kept in a slot
+    that comparison, hashing and repr skip (RDFLib's `Literal` keeps its
+    converted value the same way): filters compare literals far more often
+    than literals are built.  `__init__` is written out, so building one is
+    one call."""
 
     lexical: str
     datatype: str = "string"
+    _value: object = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        _parse_literal(self.lexical, self.datatype)
+    def __init__(self, lexical: str, datatype: str = "string"):
+        _setattr(self, "_value", _parse_literal(lexical, datatype))
+        _setattr(self, "lexical", lexical)
+        _setattr(self, "datatype", datatype)
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the value is parsed where it is loaded
+        return Literal, (self.lexical, self.datatype)
 
     def value(self):
         """The parsed, comparable value (int, Decimal, bool, datetime or str)."""
-        return _parse_literal(self.lexical, self.datatype)
+        return self._value
+
+
+def _parsed_literal(lexical: str, datatype: str, value) -> Literal:
+    """A literal whose value the caller already holds and whose lexical form
+    the caller has checked, built without parsing it again."""
+    lit = object.__new__(Literal)
+    _setattr(lit, "_value", value)
+    _setattr(lit, "lexical", lexical)
+    _setattr(lit, "datatype", datatype)
+    return lit
 
 
 Term = Union[Iri, Literal]
@@ -135,11 +167,16 @@ PatternTerm = Union[Iri, Literal, Variable]
 
 
 def integer(n: int) -> Literal:
-    return Literal(str(int(n)), "integer")
+    n = int(n)
+    return _parsed_literal(str(n), "integer", n)
 
 
 def decimal(x) -> Literal:
-    return Literal(str(Decimal(str(x))), "decimal")
+    d = Decimal(str(x))
+    lexical = str(d)  # exact: Decimal(lexical) has d's digits and exponent
+    if not _DECIMAL_RE.fullmatch(lexical):  # e.g. "1E+2" or "NaN"
+        raise MalformedLiteral(f"bad decimal literal: {lexical!r}")
+    return _parsed_literal(lexical, "decimal", d)
 
 
 def boolean(b: bool) -> Literal:
@@ -148,9 +185,6 @@ def boolean(b: bool) -> Literal:
 
 def string(s: str) -> Literal:
     return Literal(s, "string")
-
-
-_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,7 +196,7 @@ class Triple:
     object's lexical form and datatype), so building a triple runs no
     Python-level `__hash__`; `__init__` is written out, checks and all, so
     building one is one call.  Like a str's, the hash is valid only in the
-    process that made it."""
+    process that made it, so a triple pickles by its three fields alone."""
 
     subject: Iri
     predicate: Iri
@@ -182,6 +216,9 @@ class Triple:
         _setattr(self, "predicate", predicate)
         _setattr(self, "object", object)
         _setattr(self, "_hash", h)
+
+    def __reduce__(self):
+        return Triple, (self.subject, self.predicate, self.object)
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -322,10 +359,16 @@ def _escape(s: str) -> str:
     return s.translate(_ESCAPES)
 
 
+# Datatypes whose checked lexical forms hold no character `_escape` rewrites.
+_PLAIN_DATATYPES = frozenset(("integer", "decimal", "boolean"))
+
+
 def serialize_term(t: PatternTerm) -> str:
     if isinstance(t, Iri):
         return "<" + t + ">"  # an f-string formats a str subclass slowly
     if isinstance(t, Literal):
+        if t.datatype in _PLAIN_DATATYPES:
+            return '"' + t.lexical + '"^^' + t.datatype
         return f'"{_escape(t.lexical)}"^^{t.datatype}'
     return f"?{t.name}"
 

@@ -118,14 +118,33 @@ def physio_status(heart_rate: float, systolic: float) -> str:
 # --- tick-driven emission ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
+
+
+@dataclass(frozen=True, slots=True)
 class SensorEmission:
+    """One sensor reading.  Slotted with a written-out `__init__`, as every
+    observation starts as one."""
+
     domain: str
     sensor: str  # motion | luminosity | temperature | appliance | beacon | occupancy | hr | systolic | diastolic
     user: str
     timestamp: int
     sequence: int
     value: Literal
+
+    def __init__(self, domain: str, sensor: str, user: str, timestamp: int, sequence: int, value: Literal):
+        _setattr(self, "domain", domain)
+        _setattr(self, "sensor", sensor)
+        _setattr(self, "user", user)
+        _setattr(self, "timestamp", timestamp)
+        _setattr(self, "sequence", sequence)
+        _setattr(self, "value", value)
+
+    def __reduce__(self):
+        return SensorEmission, (
+            self.domain, self.sensor, self.user, self.timestamp, self.sequence, self.value,
+        )
 
 
 class DomainSimulator:

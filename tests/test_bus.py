@@ -1,5 +1,6 @@
 """Broker behavior: filter matching, QoS semantics, faults."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from semhub.bus import (
     TopicFilter,
 )
 from semhub.errors import BrokerDown, InvalidFilter
+from records import check_record
 
 
 def collect(sink: list):
@@ -111,6 +113,33 @@ def test_matching_agrees_with_oracle_on_random_pairs():
 
 
 # --- basic delivery ---------------------------------------------------------
+
+
+def test_message_and_delivery_are_slotted_frozen_records():
+    t = Topic(("obs", "home"))
+    check_record(
+        Message, (t, b"x", 1, 7),
+        "Message(topic=Topic(segments=('obs', 'home')), payload=b'x', qos=1, message_id=7)",
+        ("qos", 0),
+    )
+    assert Message(t, b"x") == Message(topic=t, payload=b"x", qos=0, message_id=None)
+    check_record(
+        Delivery, (3, t, b"x", 1, 7, True, "home"),
+        "Delivery(subscription_id=3, topic=Topic(segments=('obs', 'home')), payload=b'x', "
+        "qos=1, message_id=7, duplicate=True, publisher='home')",
+        ("duplicate", False),
+    )
+
+
+@pytest.mark.parametrize("qos", [2, -1, None, "1"])
+def test_message_refuses_an_unsupported_qos(qos):
+    t = Topic(("obs",))
+    with pytest.raises(InvalidFilter, match="unsupported qos"):
+        Message(t, b"x", qos)
+    with pytest.raises(InvalidFilter, match="unsupported qos"):
+        Message(topic=t, payload=b"x", qos=qos)
+    with pytest.raises(InvalidFilter, match="unsupported qos"):
+        dataclasses.replace(Message(t, b"x"), qos=qos)
 
 
 def test_publish_no_subscribers():

@@ -179,6 +179,8 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
             ' {"tick": 2, "capability": "reason.activity", "user": ["alice"]}]}',
             "requests[1].user must be a JSON string, got ['alice']",
         ),
+        ('{"requests": {}}', "requests must be a JSON list, got {}"),
+        ('{"faults": ""}', "faults must be a JSON list, got ''"),
         ('{"requests": [{}]}', "missing key 'tick'"),
         ('{"users": ["alice"]}', "has no attribute 'items'"),
         ('{"durationTicks": -1}', "durationTicks must not be negative, got -1"),

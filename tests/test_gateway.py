@@ -117,6 +117,23 @@ def test_submit_request_requires_fields(served):
     assert "required" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ({"capability": ["reason.activity"], "user": "alice"},
+         'capability must be a JSON string, got ["reason.activity"]'),
+        ({"capability": "reason.activity", "user": 7}, "user must be a JSON string, got 7"),
+        ({"capability": True, "user": {"name": "alice"}}, "capability must be a JSON string, got true"),
+    ],
+)
+def test_submit_request_rejects_names_that_are_not_strings(served, body, error):
+    hub, base = served
+    before = len(hub.report()["requests"])
+    status, doc = _post(base + "/requests", body)
+    assert status == 400 and doc == {"error": error}
+    assert len(hub.report()["requests"]) == before  # nothing recorded
+
+
 @pytest.mark.parametrize("tick", ["12", 12.0, 12.5, True])
 def test_submit_request_rejects_non_integer_tick(served, tick):
     _, base = served

@@ -32,9 +32,12 @@ from semhub.semantic import (
     Triple,
     TriplePattern,
     Variable,
+    decimal,
     integer,
     string,
 )
+from semhub.simulate import SensorEmission
+from records import check_record
 
 MOTION = vocab.MOTION_COUNT
 
@@ -60,6 +63,21 @@ def make_vo(registry, name="vo1", domain="smart-home", prop=MOTION):
 
 def obs(vo, seq, value, ts=None):
     return Observation(vo.id, ts if ts is not None else 1000 + seq, integer(value), seq)
+
+
+def test_observation_and_sensor_emission_are_slotted_frozen_records():
+    check_record(
+        Observation, (Iri("urn:t:vo:hr"), 1000, decimal("61.5"), 4),
+        "Observation(source=Iri(value='urn:t:vo:hr'), timestamp=1000, "
+        "value=Literal(lexical='61.5', datatype='decimal'), sequence=4)",
+        ("sequence", 5),
+    )
+    check_record(
+        SensorEmission, ("medical-facility", "hr", "alice", 1000, 4, decimal("61.5")),
+        "SensorEmission(domain='medical-facility', sensor='hr', user='alice', timestamp=1000, "
+        "sequence=4, value=Literal(lexical='61.5', datatype='decimal'))",
+        ("value", decimal("62.0")),
+    )
 
 
 # --- registration -----------------------------------------------------------

@@ -1,8 +1,12 @@
 import copy
 import dataclasses
 import json
+import os
 import pickle
 import random
+import subprocess
+import sys
+from decimal import Decimal
 
 import pytest
 
@@ -30,11 +34,13 @@ from semhub.semantic import (
     integer,
     query_from_json,
     query_to_json,
+    serialize_term,
     serialize_triple,
     string,
     term_from_json,
 )
 from oracles import oracle_evaluate, random_store_and_query
+from records import check_record
 
 G = Iri("urn:t:graph:main")
 S = Iri("urn:t:s")
@@ -103,9 +109,136 @@ def test_literal_validation():
         ("1", "boolean"),
         ("yesterday", "dateTime"),
         ("x", "float"),
+        ("", "integer"),
+        ("0x1f", "integer"),
+        ("NaN", "decimal"),
+        ("1E+2", "decimal"),
+        ("Infinity", "decimal"),
+        (".", "decimal"),
+        ("1,5", "decimal"),
+        ("FALSE", "boolean"),
+        ("false ", "boolean"),
+        ("2024-13-01", "dateTime"),
+        # `$` matched before a final newline, so these were once accepted
+        ("5\n", "integer"),
+        ("1.5\n", "decimal"),
     ]:
         with pytest.raises(MalformedLiteral):
             Literal(lex, dt)
+
+
+WELL_FORMED = {
+    "string": ("", "abc", "a\nb", "quote \" back \\ slash"),
+    "integer": ("0", "-7", "+12", "007", "123456789012345678901234567890"),
+    "decimal": ("0", "-0", "61.5", "+.5", "5.", "0.000001", "-12.340"),
+    "boolean": ("true", "false"),
+    "dateTime": ("2024-01-01T00:00:00+00:00", "2024-06-01T12:30:00", "2024-06-01"),
+}
+
+
+def test_literal_value_is_parsed_once_and_kept():
+    for dt, forms in WELL_FORMED.items():
+        for lex in forms:
+            lit = Literal(lex, dt)
+            parsed = semantic._parse_literal(lex, dt)
+            assert lit.value() == parsed and type(lit.value()) is type(parsed)
+            assert lit.value() is lit.value()  # kept, not parsed per call
+            assert "_value" not in repr(lit)
+            # the kept value takes no part in comparison or hashing
+            other = Literal(lex, dt)
+            object.__setattr__(other, "_value", None)
+            assert other == lit and hash(other) == hash(lit)
+
+
+def test_literal_is_a_slotted_frozen_record():
+    check_record(
+        Literal, ("61.5", "decimal"), "Literal(lexical='61.5', datatype='decimal')",
+        ("lexical", "62.0"),
+    )
+    assert dataclasses.replace(integer(3), lexical="4").value() == 4
+    with pytest.raises(MalformedLiteral):
+        dataclasses.replace(integer(3), lexical="x")
+    assert Literal("x") == Literal(lexical="x", datatype="string") == string("x")
+
+
+def test_integer_and_decimal_build_what_their_lexical_form_parses_to():
+    rng = random.Random(1801)
+    numbers = [rng.randint(-10**12, 10**12) for _ in range(200)] + [0, True, False, 7.9, "12", "-3"]
+    for n in numbers:
+        built, parsed = integer(n), Literal(str(int(n)), "integer")
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.value() == parsed.value() and type(built.value()) is int
+    values = [f"{rng.uniform(-1e4, 1e4):.{rng.randint(0, 6)}f}" for _ in range(200)]
+    values += [0, 7, -2.5, 61.5, Decimal("1.50"), ".5", "5.", "+3.0", "-0", "0.000001"]
+    for x in values:
+        built, parsed = decimal(x), Literal(str(Decimal(str(x))), "decimal")
+        assert built == parsed and hash(built) == hash(parsed)
+        assert built.value() == parsed.value()
+        assert str(built.value()) == built.lexical  # same digits and exponent
+    for bad in ("1e2", "NaN", "Infinity", 1e-7):
+        with pytest.raises(MalformedLiteral):
+            decimal(bad)
+    with pytest.raises(ValueError):
+        integer("x")
+
+
+_PICKLE_TERMS = """
+from semhub.semantic import Iri, Literal, Triple, decimal, integer
+terms = [
+    Triple(Iri("urn:t:s"), Iri("urn:t:p"), decimal("61.5")),
+    Triple(Iri("urn:t:s"), Iri("urn:t:p"), Iri("urn:t:o")),
+    Triple(Iri("urn:t:s"), Iri("urn:t:p"), Literal("2024-06-01T12:30:00", "dateTime")),
+    integer(-12),
+    Literal("a\\tb"),
+]
+"""
+
+
+def test_triples_and_literals_pickled_under_one_hash_seed_load_under_another():
+    src_root = os.path.dirname(os.path.dirname(semantic.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + inherited if inherited else ""))
+    dump = _PICKLE_TERMS + (
+        "import pickle, sys\n"
+        "sys.stdout.write(repr([pickle.dumps(t, p) for t in terms for p in range(pickle.HIGHEST_PROTOCOL + 1)]))\n"
+    )
+    load = _PICKLE_TERMS + (
+        "import ast, pickle, sys\n"
+        "dumps = ast.literal_eval(sys.stdin.read())\n"
+        "per = pickle.HIGHEST_PROTOCOL + 1\n"
+        "for i, data in enumerate(dumps):\n"
+        "    back, here = pickle.loads(data), terms[i // per]\n"
+        "    assert type(back) is type(here), (i, back)\n"
+        "    assert back == here and here == back and hash(back) == hash(here), (i, back)\n"
+        "    assert back in {here} and here in {back}, (i, back)\n"
+        "    if isinstance(here, Literal):\n"
+        "        assert back.value() == here.value(), (i, back)\n"
+        "print(len(dumps))\n"
+    )
+    dumped = subprocess.run(
+        [sys.executable, "-c", dump], capture_output=True, text=True, check=True,
+        env=dict(env, PYTHONHASHSEED="1"),
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", load], input=dumped.stdout, capture_output=True, text=True,
+        env=dict(env, PYTHONHASHSEED="2"),
+    )
+    assert loaded.returncode == 0, loaded.stderr
+    assert int(loaded.stdout) == 5 * (pickle.HIGHEST_PROTOCOL + 1)
+
+
+def test_serialize_term_skips_escaping_only_where_nothing_escapes():
+    rng = random.Random(1802)
+    literals = [integer(rng.randint(-10**9, 10**9)) for _ in range(100)]
+    literals += [decimal(f"{rng.uniform(-1e4, 1e4):.{rng.randint(0, 4)}f}") for _ in range(100)]
+    literals += [boolean(True), boolean(False), Literal("+007", "integer"), Literal(".5", "decimal")]
+    for lit in literals:
+        assert serialize_term(lit) == f'"{semantic._escape(lit.lexical)}"^^{lit.datatype}'
+    for c, escaped in (("\\", "\\\\"), ('"', '\\"'), ("\n", "\\n"), ("\r", "\\r"), ("\t", "\\t")):
+        assert serialize_term(string(f"a{c}b")) == f'"a{escaped}b"^^string'
+        # fromisoformat takes any one character between date and time
+        stamp = Literal(f"2024-01-01{c}12:00:00+00:00", "dateTime")
+        assert serialize_term(stamp) == f'"2024-01-01{escaped}12:00:00+00:00"^^dateTime'
 
 
 def test_literal_equality_is_lexical():
