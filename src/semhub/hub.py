@@ -218,13 +218,14 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(doc: Mapping) -> "ScenarioConfig":
+        doc = _object(doc, "the document")
         return ScenarioConfig(
             seed=_integer(doc.get("seed", 42), "seed"),
             duration_ticks=_integer(doc.get("durationTicks", 5000), "durationTicks"),
             noise_rate=_number(doc.get("noiseRate", 0.1), "noiseRate"),
             users={
                 str(k): _integer(v, f"users: level of {str(k)!r}")
-                for k, v in doc.get("users", {"alice": 3}).items()
+                for k, v in _object(doc.get("users", {"alice": 3}), "users").items()
             },
             train_instances=_integer(doc.get("trainInstances", 500), "trainInstances"),
             holdout=_number(doc.get("holdout", 0.2), "holdout"),
@@ -239,7 +240,7 @@ class ScenarioConfig:
                     _string(r["capability"], f"requests[{i}].capability"),
                     _string(r["user"], f"requests[{i}].user"),
                 )
-                for i, r in enumerate(_list(doc.get("requests", []), "requests"))
+                for i, r in enumerate(_objects(doc.get("requests", []), "requests"))
             ),
             faults=tuple(
                 FaultEvent(
@@ -247,7 +248,7 @@ class ScenarioConfig:
                     _string(f["kind"], f"faults[{i}].kind"),
                     _boolean(f.get("removeTemplate", False), f"faults[{i}].removeTemplate"),
                 )
-                for i, f in enumerate(_list(doc.get("faults", []), "faults"))
+                for i, f in enumerate(_objects(doc.get("faults", []), "faults"))
             ),
         )
 
@@ -274,12 +275,20 @@ def _string(value, key: str) -> str:
     return value
 
 
-def _list(value, key: str) -> list:
-    """A scenario value that must be a JSON list: iterating a string or an
-    object would read an empty one as no events."""
+def _object(value, key: str) -> Mapping:
+    """A scenario value that must be a JSON object: reading keys of another
+    type fails with an error that names no scenario key."""
+    if not isinstance(value, Mapping):
+        raise MalformedScenario(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _objects(value, key: str) -> list:
+    """A scenario value that must be a JSON list of JSON objects: iterating
+    a string or an object would read an empty one as no events."""
     if not isinstance(value, list):
         raise MalformedScenario(f"{key} must be a JSON list, got {value!r}")
-    return value
+    return [_object(entry, f"{key}[{i}]") for i, entry in enumerate(value)]
 
 
 def _boolean(value, key: str) -> bool:

@@ -11,7 +11,6 @@ callers can prove which services ran.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import threading
 from dataclasses import dataclass, field
@@ -361,67 +360,66 @@ class Synchronizer:
 
 # --- query log --------------------------------------------------------------
 
-_MAX_PERMUTED_PATTERNS = 6
+def _ranks(keys: dict) -> tuple[dict, int]:
+    """Each key's rank among the distinct keys, and how many there are."""
+    distinct = sorted(set(keys.values()))
+    rank = {k: i for i, k in enumerate(distinct)}
+    return {v: rank[k] for v, k in keys.items()}, len(distinct)
 
 
 def _canonical_query(q: Query) -> tuple[Query, str]:
-    """Normalize to a canonical variant: variables renumbered by first
-    occurrence, patterns ordered to minimize the serialized form, filters
-    sorted.  Returns (normalized query, signature hash).
+    """Normalize to a canonical variant: variables renamed ?v<colour>,
+    patterns sorted by their renamed text, filters sorted.  Returns
+    (normalized query, signature hash).
 
-    Up to a size cap, patterns are sorted by shape (the pattern with its
-    variables blanked, which renaming cannot change), and every order that
-    permutes patterns only within a group of one shape is tried, ties broken
-    by the renamed filters and select.  Past the cap, patterns are sorted by
-    shape, then by their serialized form."""
+    Colours come from colour refinement (one-dimensional Weisfeiler-Leman).
+    A variable starts from its select positions and filters, and each round
+    recolours it by the patterns it occurs in, seen as their constants and
+    their variables' colours.  Colours are ranks of sorted keys, which no
+    name, pattern order or hash seed moves.  While refinement is stable with
+    ties, the first variable of the least tied colour gets its own colour.
+    The signature hashes the renamed query's serialization, so different
+    queries never share one; only ties that no symmetry of the query
+    exchanges can give one query two signatures."""
     # each pattern's serialized terms, a variable's starting with "?"
-    entries = [
-        (tuple(map(serialize_term, (p.subject, p.predicate, p.object))), p)
-        for p in q.where
-    ]
-    def shape(entry):
-        return [t if t[0] != "?" else "?" for t in entry[0]]
-
-    if len(entries) <= _MAX_PERMUTED_PATTERNS:
-        entries.sort(key=shape)
-        groups = [list(g) for _, g in itertools.groupby(entries, shape)]
-    else:
-        groups = [[e] for e in sorted(entries, key=lambda e: (shape(e), " ".join(e[0])))]
-    filter_terms = [(f"?{f.var.name}", f.op, serialize_term(f.value)) for f in q.filters]
+    terms = [tuple(map(serialize_term, (p.subject, p.predicate, p.object))) for p in q.where]
+    occurs: dict[str, list[int]] = {}  # variable -> the patterns it occurs in
+    for i, ts in enumerate(terms):
+        for t in ts:
+            if t[0] == "?":
+                occurs.setdefault(t, []).append(i)
     select = [f"?{v.name}" for v in q.select]
-
-    best = None
-    for order in itertools.product(*map(itertools.permutations, groups)):
-        names: dict[str, str] = {}  # variable -> its renamed form, serialized
-        serial = tuple([
-            " ".join([
-                t if t[0] != "?" else names.setdefault(t, f"?v{len(names)}")
-                for t in terms
-            ])
-            for group in order
-            for terms, _ in group
-        ])
-        # symmetric patterns can leave several orders with the same minimal
-        # serialization, in which case the renaming of the variables they
-        # disagree on would depend on input order; the filters and select
-        # pin a single winner
-        key = (
-            serial,
-            sorted([f"{names[var]} {op} {value}" for var, op, value in filter_terms]),
-            [names[v] for v in select],
+    found = sorted([(f"?{f.var.name}", f.op, serialize_term(f.value)) for f in q.filters])
+    colour, count = _ranks({
+        v: (
+            tuple([i for i, s in enumerate(select) if s == v]),
+            tuple([f[1:] for f in found if f[0] == v]),
         )
-        if best is None or key < best[0]:
-            best = (key, order, names)
-    (serial, _, _), order, names = best
+        for v in occurs
+    })
+    while count < len(colour):
+        refined, more = _ranks({
+            v: (colour[v], tuple(sorted([
+                tuple([t if t[0] != "?" else "?" if t == v else f"?{colour[t]}" for t in terms[i]])
+                for i in occurs[v]
+            ])))
+            for v in colour
+        })
+        if more == count:  # stable with ties
+            tied = sorted(refined.values())
+            least = next(a for a, b in zip(tied, tied[1:]) if a == b)
+            alone = next(v for v, c in refined.items() if c == least)
+            refined, more = _ranks({v: (c, v == alone) for v, c in refined.items()})
+        colour, count = refined, more
 
-    renamed = {var: Variable(name[1:]) for var, name in names.items()}
+    names = {v: f"?v{c}" for v, c in colour.items()}
+    renamed = {v: Variable(name[1:]) for v, name in names.items()}
+    texts = [" ".join([names.get(t, t) for t in ts]) for ts in terms]
     patterns = [
         TriplePattern(*[
-            term if t[0] != "?" else renamed[t]
-            for t, term in zip(terms, (p.subject, p.predicate, p.object))
+            renamed.get(t, term) for t, term in zip(terms[i], (p.subject, p.predicate, p.object))
         ])
-        for group in order
-        for terms, p in group
+        for i, p in sorted(enumerate(q.where), key=lambda e: texts[e[0]])
     ]
     filters = sorted(
         [Filter(renamed[f"?{f.var.name}"], f.op, f.value) for f in q.filters],
@@ -432,7 +430,7 @@ def _canonical_query(q: Query) -> tuple[Query, str]:
     # repr of lists of strings is one-to-one, so equal bases mean equal queries
     basis = repr((
         [v.name for v in normalized.select],
-        serial,
+        sorted(texts),
         [[f.var.name, f.op, serialize_term(f.value)] for f in filters],
         sorted([g.value for g in q.graph_scope]),
     ))

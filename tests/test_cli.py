@@ -182,7 +182,11 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
         ('{"requests": {}}', "requests must be a JSON list, got {}"),
         ('{"faults": ""}', "faults must be a JSON list, got ''"),
         ('{"requests": [{}]}', "missing key 'tick'"),
-        ('{"users": ["alice"]}', "has no attribute 'items'"),
+        ('{"users": ["alice"]}', "users must be a JSON object"),
+        ("[]", "the document must be a JSON object, got []"),
+        ('{"requests": [5]}', "requests[0] must be a JSON object, got 5"),
+        ('{"requests": [[1, 2]]}', "requests[0] must be a JSON object, got [1, 2]"),
+        ('{"faults": ["x"]}', "faults[0] must be a JSON object, got 'x'"),
         ('{"durationTicks": -1}', "durationTicks must not be negative, got -1"),
         pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deeply-nested"),
         ('{"cvoRuleInterval": 0}', "cvoRuleInterval must be at least 1, got 0"),

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -469,40 +472,36 @@ def test_permuted_patterns_hit():
     assert status == "hit"
 
 
-def counted_orders(monkeypatch) -> list:
-    """Count the pattern orders the query-log signature tries: each comes out
-    of one `itertools.product` over the same-shape groups."""
-    tried = []
-    product = interop.itertools.product
+def counted_rankings(monkeypatch) -> list:
+    """Count the colourings the query-log signature ranks: one to start, one
+    per refinement round and one per tie it breaks."""
+    ranked = []
+    ranks = interop._ranks
 
-    def counting(*groups):
-        for order in product(*groups):
-            tried.append(order)
-            yield order
+    def counting(keys):
+        ranked.append(len(keys))
+        return ranks(keys)
 
-    monkeypatch.setattr(interop.itertools, "product", counting)
-    return tried
+    monkeypatch.setattr(interop, "_ranks", counting)
+    return ranked
 
 
-def test_distinct_shapes_try_one_pattern_order(monkeypatch):
+def test_distinct_shapes_settle_in_one_refinement_round(monkeypatch):
     s = Variable("s")
-    where = [
-        TriplePattern(s, Iri(f"urn:sem:p{i}"), Variable(f"o{i}"))
-        for i in range(interop._MAX_PERMUTED_PATTERNS)
-    ]
-    tried = counted_orders(monkeypatch)
+    where = [TriplePattern(s, Iri(f"urn:sem:p{i}"), Variable(f"o{i}")) for i in range(6)]
+    ranked = counted_rankings(monkeypatch)
     query_signature(Query([s], where))
-    assert len(tried) == 1  # trying every order would be 720
+    assert len(ranked) <= 2  # the start colouring, then one round splits every ?o<i>
 
 
-def test_renaming_past_the_permutation_cap_keeps_the_signature():
+def test_renaming_a_seven_pattern_query_keeps_the_signature():
     def query(a, b):
         a, b = Variable(a), Variable(b)
         where = [TriplePattern(a, Iri("urn:sem:p0"), b), TriplePattern(b, Iri("urn:sem:p1"), a)]
         where += [TriplePattern(a, Iri(f"urn:sem:q{i}"), Variable(f"o{i}")) for i in range(5)]
         return Query([a], where)
 
-    assert len(query("a", "b").where) > interop._MAX_PERMUTED_PATTERNS
+    assert len(query("a", "b").where) == 7
     assert query_signature(query("a", "b")) == query_signature(query("b", "a"))
 
 
@@ -522,13 +521,124 @@ def test_renamed_permuted_query_with_same_shape_patterns_hits(monkeypatch):
 
     first = query("svwxy", range(5))
     again = query(("rec", "lo", "hi", "other", "val"), (2, 4, 0, 3, 1))
-    tried = counted_orders(monkeypatch)
+    ranked = counted_rankings(monkeypatch)
     assert process_query(first, log, store)[1] == "miss-generated"
     assert process_query(again, log, store)[1] == "hit"
     assert len(log) == 1
-    # within each call: 2 orders of the two type patterns times 6 of the three
-    # heart-rate patterns
-    assert len(tried) == 2 * 12
+    # within each call: the select and filter split all but ?x and ?y, and
+    # one round splits those by the patterns they occur in
+    assert len(ranked) <= 2 * 2
+
+
+def renamed_and_shuffled(q: Query, rng: random.Random) -> Query:
+    """q with its variables renamed at random and its patterns shuffled."""
+    names = sorted({t.name for p in q.where for t in (p.subject, p.predicate, p.object) if isinstance(t, Variable)})
+    fresh = [f"n{i}" for i in range(len(names))]
+    rng.shuffle(fresh)
+    to = {old: Variable(new) for old, new in zip(names, fresh)}
+
+    def rename(t):
+        return to[t.name] if isinstance(t, Variable) else t
+
+    where = [TriplePattern(rename(p.subject), rename(p.predicate), rename(p.object)) for p in q.where]
+    rng.shuffle(where)
+    filters = [Filter(rename(f.var), f.op, f.value) for f in q.filters]
+    return Query([rename(v) for v in q.select], where, filters, q.graph_scope)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_renamed_shuffled_queries_with_a_shared_predicate_keep_their_signature(n):
+    rng = random.Random(f"shared-predicate:{n}")
+    shared = Iri("urn:sem:p")
+    misses = 0
+    for _ in range(60):
+        xs = [Variable(f"x{i}") for i in range(n)]
+        where = [
+            TriplePattern(
+                rng.choice(xs[: i + 1]),
+                shared if i % 2 == 0 else Iri(f"urn:sem:q{rng.randrange(3)}"),
+                xs[i] if rng.random() < 0.7 else rng.choice(xs),
+            )
+            for i in range(n)
+        ]
+        q = Query([where[0].subject], where)
+        if query_signature(q) != query_signature(renamed_and_shuffled(q, rng)):
+            misses += 1
+    assert misses == 0
+
+
+def test_one_shape_query_refines_in_few_rounds(monkeypatch):
+    # trying every order of these 6 patterns took 720 orders per call
+    s = Variable("s")
+    q = Query([s], [TriplePattern(s, Iri("urn:sem:p"), Variable(f"o{i}")) for i in range(6)])
+    rng = random.Random(27)
+    ranked = counted_rankings(monkeypatch)
+    signature = query_signature(q)
+    # every round either splits a colour or breaks a tie, so 7 variables
+    # take at most 7 rounds and 7 tie breaks after the start colouring
+    assert len(ranked) <= 1 + 2 * 7
+    assert {query_signature(renamed_and_shuffled(q, rng)) for _ in range(20)} == {signature}
+
+
+def test_near_twin_queries_never_share_a_signature():
+    a, b, c, d, e, f = (Variable(n) for n in "abcdef")
+    p = Iri("urn:sem:p")
+
+    def query(*pairs):
+        return Query([a], [TriplePattern(x, p, y) for x, y in pairs])
+
+    twins = [
+        query((a, b), (b, c)),
+        query((a, b), (c, b)),
+        query((a, b), (a, c)),
+        query((b, a), (c, b)),
+        query((a, b), (b, a)),
+        # refinement alone cannot tell two triangles from one hexagon
+        query((a, b), (b, c), (c, a), (d, e), (e, f), (f, d)),
+        query((a, b), (b, c), (c, d), (d, e), (e, f), (f, a)),
+    ]
+    assert len({query_signature(q) for q in twins}) == len(twins)
+    rng = random.Random(5)
+    for q in twins:
+        assert query_signature(renamed_and_shuffled(q, rng)) == query_signature(q)
+
+
+_SIGNATURE_CORPUS = """
+import random, sys
+from semhub.interop import query_signature
+from semhub.semantic import Filter, Iri, Query, TriplePattern, Variable, decimal, integer, string
+rng = random.Random(1907)
+objects = [Iri("urn:t:o"), integer(7), decimal("61.5"), string("a b")]
+signatures = []
+for n in range(1, 11):
+    for _ in range(6):
+        xs = [Variable(f"x{i}") for i in range(n + 1)]
+        where = [
+            TriplePattern(rng.choice(xs[: i + 1]), Iri(f"urn:t:p{rng.randrange(3)}"), xs[i + 1])
+            for i in range(n)
+        ]
+        where.append(TriplePattern(rng.choice(xs), Iri("urn:t:q"), rng.choice(objects)))
+        filters = [Filter(rng.choice(xs), rng.choice(["<", ">", "="]), integer(rng.randrange(100)))]
+        graphs = [Iri(f"urn:t:g{i}") for i in range(rng.randrange(3))]
+        signatures.append(query_signature(Query([xs[0]], where, filters, graphs)))
+sys.stdout.write("\\n".join(signatures))
+"""
+
+
+def test_signatures_do_not_depend_on_the_hash_seed():
+    src_root = os.path.dirname(os.path.dirname(interop.__file__))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + inherited if inherited else ""))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _SIGNATURE_CORPUS], capture_output=True, text=True, check=True,
+            env=dict(env, PYTHONHASHSEED=seed),
+        ).stdout.split()
+        for seed in ("0", "1")
+    ]
+    assert len(runs[0]) == 60
+    assert len(set(runs[0])) == 60
+    assert runs[0] == runs[1]
 
 
 def test_different_constants_are_distinct():
