@@ -367,36 +367,10 @@ def _ranks(keys: dict) -> tuple[dict, int]:
     return {v: rank[k] for v, k in keys.items()}, len(distinct)
 
 
-def _canonical_query(q: Query) -> tuple[Query, str]:
-    """Normalize to a canonical variant: variables renamed ?v<colour>,
-    patterns sorted by their renamed text, filters sorted.  Returns
-    (normalized query, signature hash).
-
-    Colours come from colour refinement (one-dimensional Weisfeiler-Leman).
-    A variable starts from its select positions and filters, and each round
-    recolours it by the patterns it occurs in, seen as their constants and
-    their variables' colours.  Colours are ranks of sorted keys, which no
-    name, pattern order or hash seed moves.  While refinement is stable with
-    ties, the first variable of the least tied colour gets its own colour.
-    The signature hashes the renamed query's serialization, so different
-    queries never share one; only ties that no symmetry of the query
-    exchanges can give one query two signatures."""
-    # each pattern's serialized terms, a variable's starting with "?"
-    terms = [tuple(map(serialize_term, (p.subject, p.predicate, p.object))) for p in q.where]
-    occurs: dict[str, list[int]] = {}  # variable -> the patterns it occurs in
-    for i, ts in enumerate(terms):
-        for t in ts:
-            if t[0] == "?":
-                occurs.setdefault(t, []).append(i)
-    select = [f"?{v.name}" for v in q.select]
-    found = sorted([(f"?{f.var.name}", f.op, serialize_term(f.value)) for f in q.filters])
-    colour, count = _ranks({
-        v: (
-            tuple([i for i, s in enumerate(select) if s == v]),
-            tuple([f[1:] for f in found if f[0] == v]),
-        )
-        for v in occurs
-    })
+def _colours(start: dict, terms: list, occurs: dict) -> dict[str, int]:
+    """Colours 0..n-1, one per variable, for one connected set of variables:
+    ranks of their `start` keys, refined by the patterns each occurs in."""
+    colour, count = _ranks(start)
     while count < len(colour):
         refined, more = _ranks({
             v: (colour[v], tuple(sorted([
@@ -411,8 +385,61 @@ def _canonical_query(q: Query) -> tuple[Query, str]:
             alone = next(v for v, c in refined.items() if c == least)
             refined, more = _ranks({v: (c, v == alone) for v, c in refined.items()})
         colour, count = refined, more
+    return colour
 
-    names = {v: f"?v{c}" for v, c in colour.items()}
+
+def _canonical_query(q: Query) -> tuple[Query, str]:
+    """Normalize to a canonical variant: variables renamed ?v<n>, patterns
+    sorted by their renamed text, filters sorted.  Returns (normalized
+    query, signature hash).
+
+    Each connected set of variables is coloured apart by colour refinement
+    (one-dimensional Weisfeiler-Leman): a variable starts from its select
+    positions and filters, and each round recolours it by the constants and
+    the other variables' colours of the patterns it occurs in.  Colours are
+    ranks of sorted keys, which no name, pattern order or hash seed moves.
+    While refinement is stable with ties, the first variable of the least
+    tied colour gets its own colour.  The sets are numbered in the order of
+    their renamed patterns, so a tie broken in one never moves another.  The
+    signature hashes the renamed query, so different queries never share
+    one; only a tie within one set that no symmetry of the query exchanges
+    can give one query two."""
+    # each pattern's serialized terms, a variable's starting with "?"
+    terms = [tuple(map(serialize_term, (p.subject, p.predicate, p.object))) for p in q.where]
+    occurs: dict[str, list[int]] = {}  # variable -> the patterns it occurs in
+    for i, ts in enumerate(terms):
+        for t in ts:
+            if t[0] == "?":
+                occurs.setdefault(t, []).append(i)
+    select = [f"?{v.name}" for v in q.select]
+    starts: dict[str, tuple[list, list]] = {v: ([], []) for v in occurs}
+    for i, v in enumerate(select):
+        starts[v][0].append(i)
+    for v, op, value in sorted([(f"?{f.var.name}", f.op, serialize_term(f.value)) for f in q.filters]):
+        starts[v][1].append((op, value))
+    start = {v: (tuple(at), tuple(found)) for v, (at, found) in starts.items()}
+
+    parts = []  # (sort key, variables in colour order) per connected set
+    seen: set[str] = set()
+    for v in occurs:
+        if v in seen:
+            continue
+        part, within = [v], set()
+        seen.add(v)
+        for u in part:  # grows while it is walked
+            for i in occurs[u]:
+                within.add(i)
+                for t in terms[i]:
+                    if t[0] == "?" and t not in seen:
+                        seen.add(t)
+                        part.append(t)
+        colour = _colours({u: start[u] for u in part}, terms, occurs)
+        texts = sorted([" ".join([f"?{colour[t]}" if t[0] == "?" else t for t in terms[i]]) for i in within])
+        order = sorted(part, key=colour.__getitem__)
+        parts.append(((texts, [start[u] for u in order]), order))
+    parts.sort(key=lambda e: e[0])
+    names = {v: f"?v{n}" for n, v in enumerate([u for _, order in parts for u in order])}
+
     renamed = {v: Variable(name[1:]) for v, name in names.items()}
     texts = [" ".join([names.get(t, t) for t in ts]) for ts in terms]
     patterns = [

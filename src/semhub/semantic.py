@@ -431,6 +431,11 @@ def _list_field(doc: Mapping, name: str) -> list:
     return value
 
 
+# Where patterns a query document may hold: the query log's signature
+# (interop._canonical_query) takes time quadratic in a query's variables.
+MAX_QUERY_PATTERNS = 32
+
+
 def query_from_json(doc: Mapping) -> Query:
     """Build a Query from its JSON document, checking every field's shape."""
     if not isinstance(doc, Mapping):
@@ -438,8 +443,13 @@ def query_from_json(doc: Mapping) -> Query:
     select = [term_from_json(s) for s in _list_field(doc, "select")]
     if not all(isinstance(v, Variable) for v in select):
         raise UnboundVariable("select entries must be ?-prefixed variables")
+    entries = _list_field(doc, "where")
+    if len(entries) > MAX_QUERY_PATTERNS:
+        raise MalformedQuery(
+            f"where holds {len(entries)} patterns; a query may hold at most {MAX_QUERY_PATTERNS}"
+        )
     where = []
-    for entry in _list_field(doc, "where"):
+    for entry in entries:
         if not isinstance(entry, list) or len(entry) != 3:
             raise MalformedQuery(f"where entries must be 3-item lists, got {entry!r}")
         s, p, o = entry

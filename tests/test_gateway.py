@@ -12,7 +12,7 @@ import pytest
 
 from semhub.gateway import MAX_BODY_BYTES, GatewayServer
 from semhub.hub import Hub, ScenarioConfig
-from semhub.semantic import MAX_BINDINGS
+from semhub.semantic import MAX_BINDINGS, MAX_QUERY_PATTERNS
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +235,14 @@ def test_query_route_rejects_bad_shapes(served, query):
     )
     assert status == 200
     assert doc["count"] >= 1
+
+
+def test_query_route_refuses_queries_past_the_pattern_bound(served):
+    _, base = served
+    where = [["?s", "urn:sem:type", f"?o{i}"] for i in range(10_000)]
+    status, doc = _post(base + "/queries", {"select": ["?s"], "where": where})
+    assert status == 400
+    assert doc["error"] == f"where holds 10000 patterns; a query may hold at most {MAX_QUERY_PATTERNS}"
 
 
 @pytest.mark.parametrize("value", [None, ["nested"]], ids=json.dumps)

@@ -1,4 +1,3 @@
-import os
 import random
 import subprocess
 import sys
@@ -38,6 +37,8 @@ from semhub.semantic import (
     solve_query,
     string,
 )
+
+from children import source_env
 
 HR = Iri("urn:sem:heartRate")
 VITALS = Iri("urn:sem:class:Vitals")
@@ -473,8 +474,9 @@ def test_permuted_patterns_hit():
 
 
 def counted_rankings(monkeypatch) -> list:
-    """Count the colourings the query-log signature ranks: one to start, one
-    per refinement round and one per tie it breaks."""
+    """List the sizes of the colourings the query-log signature ranks: per
+    connected set of variables, one to start, one per refinement round and
+    one per tie it breaks."""
     ranked = []
     ranks = interop._ranks
 
@@ -525,9 +527,9 @@ def test_renamed_permuted_query_with_same_shape_patterns_hits(monkeypatch):
     assert process_query(first, log, store)[1] == "miss-generated"
     assert process_query(again, log, store)[1] == "hit"
     assert len(log) == 1
-    # within each call: the select and filter split all but ?x and ?y, and
-    # one round splits those by the patterns they occur in
-    assert len(ranked) <= 2 * 2
+    # within each call: the select and filter split ?s, ?v and ?w at the
+    # start, and one round splits ?x and ?y by the patterns they occur in
+    assert ranked == [3, 2, 2] * 2
 
 
 def renamed_and_shuffled(q: Query, rng: random.Random) -> Query:
@@ -603,6 +605,26 @@ def test_near_twin_queries_never_share_a_signature():
         assert query_signature(renamed_and_shuffled(q, rng)) == query_signature(q)
 
 
+def test_ties_in_one_connected_set_leave_the_others_alone():
+    # refinement alone leaves every cycle's variables tied, so each cycle
+    # needs a tie broken; which cycle comes first in the input moves nothing
+    p = Iri("urn:sem:p")
+    xs = [Variable(f"x{i}") for i in range(12)]
+
+    def cycle(vs):
+        return [TriplePattern(v, p, vs[(i + 1) % len(vs)]) for i, v in enumerate(vs)]
+
+    s = Variable("s")
+    queries = [
+        Query([s], [TriplePattern(s, Iri("urn:sem:q"), Iri("urn:sem:c"))] + cycle(xs[:2]) + cycle(xs[2:5])),
+        Query([xs[0]], cycle(xs[:3]) + cycle(xs[3:6]) + cycle(xs[6:12])),
+        Query([], cycle(xs[:4]) + cycle(xs[4:6]) + cycle(xs[6:8]) + cycle(xs[8:12])),
+    ]
+    rng = random.Random(19)
+    for q in queries:
+        assert {query_signature(renamed_and_shuffled(q, rng)) for _ in range(30)} == {query_signature(q)}
+
+
 _SIGNATURE_CORPUS = """
 import random, sys
 from semhub.interop import query_signature
@@ -626,13 +648,10 @@ sys.stdout.write("\\n".join(signatures))
 
 
 def test_signatures_do_not_depend_on_the_hash_seed():
-    src_root = os.path.dirname(os.path.dirname(interop.__file__))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + inherited if inherited else ""))
     runs = [
         subprocess.run(
             [sys.executable, "-c", _SIGNATURE_CORPUS], capture_output=True, text=True, check=True,
-            env=dict(env, PYTHONHASHSEED=seed),
+            env=source_env(PYTHONHASHSEED=seed),
         ).stdout.split()
         for seed in ("0", "1")
     ]

@@ -1,7 +1,6 @@
 import copy
 import dataclasses
 import json
-import os
 import pickle
 import random
 import subprocess
@@ -16,9 +15,11 @@ from semhub.errors import (
     ComparisonTypeError,
     MalformedIri,
     MalformedLiteral,
+    MalformedQuery,
     UnboundVariable,
 )
 from semhub.semantic import (
+    MAX_QUERY_PATTERNS,
     BindingSet,
     Filter,
     GraphStore,
@@ -39,6 +40,7 @@ from semhub.semantic import (
     string,
     term_from_json,
 )
+from children import source_env
 from oracles import oracle_evaluate, random_store_and_query
 from records import check_record
 
@@ -195,9 +197,6 @@ terms = [
 
 
 def test_triples_and_literals_pickled_under_one_hash_seed_load_under_another():
-    src_root = os.path.dirname(os.path.dirname(semantic.__file__))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src_root + (os.pathsep + inherited if inherited else ""))
     dump = _PICKLE_TERMS + (
         "import pickle, sys\n"
         "sys.stdout.write(repr([pickle.dumps(t, p) for t in terms for p in range(pickle.HIGHEST_PROTOCOL + 1)]))\n"
@@ -217,11 +216,11 @@ def test_triples_and_literals_pickled_under_one_hash_seed_load_under_another():
     )
     dumped = subprocess.run(
         [sys.executable, "-c", dump], capture_output=True, text=True, check=True,
-        env=dict(env, PYTHONHASHSEED="1"),
+        env=source_env(PYTHONHASHSEED="1"),
     )
     loaded = subprocess.run(
         [sys.executable, "-c", load], input=dumped.stdout, capture_output=True, text=True,
-        env=dict(env, PYTHONHASHSEED="2"),
+        env=source_env(PYTHONHASHSEED="2"),
     )
     assert loaded.returncode == 0, loaded.stderr
     assert int(loaded.stdout) == 5 * (pickle.HIGHEST_PROTOCOL + 1)
@@ -444,6 +443,24 @@ def test_query_json_round_trip():
     doc = query_to_json(q)
     assert doc["select"] == ["?x", "?n"]
     assert query_from_json(doc) == q
+
+
+def _star_or_chain(shape: str, n: int) -> dict:
+    if shape == "star":
+        where = [["?s", "urn:t:p", f"?o{i}"] for i in range(n)]
+    else:
+        where = [[f"?x{i}", "urn:t:p", f"?x{i + 1}"] for i in range(n)]
+    return {"select": [where[0][0]], "where": where}
+
+
+@pytest.mark.parametrize("shape", ["star", "chain"])
+def test_query_documents_past_the_pattern_bound_are_refused(shape):
+    # signing a query for the query log takes time quadratic in its
+    # variables, so a document from outside may not hold more patterns
+    assert len(query_from_json(_star_or_chain(shape, MAX_QUERY_PATTERNS)).where) == MAX_QUERY_PATTERNS
+    for n in (MAX_QUERY_PATTERNS + 1, 10_000):
+        with pytest.raises(MalformedQuery, match=f"^where holds {n} patterns; a query may hold at most"):
+            query_from_json(_star_or_chain(shape, n))
 
 
 def test_json_booleans_are_boolean_literals():
