@@ -2,8 +2,8 @@
 
 Three analyzers — location, activity, physio — share the ML suite from
 `ml`.  Each has a fixed feature schema; the builders turn raw event history
-into vectors, and `AnalyticsService` owns one trained model per analyzer
-(swapped atomically, so concurrent readers see old or new, never partial).
+into vectors, and `AnalyticsService` owns one trained model per analyzer;
+training an analyzer again replaces its model.
 Physio predictions additionally pass through a configurable recommendation
 table keyed by (predicted status, current activity).
 """
@@ -11,7 +11,6 @@ table keyed by (predicted status, current activity).
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -158,7 +157,6 @@ class AnalyticsService:
 
     def __init__(self):
         self._models: dict[str, TrainedModel] = {}
-        self._lock = threading.Lock()
         self.recommendations = load_recommendations()
         self.counters: dict[str, int] = {a: 0 for a in ANALYZERS}
 
@@ -166,21 +164,18 @@ class AnalyticsService:
         self, analyzer: str, data: Sequence[LabeledInstance], cfg: ModelConfig
     ) -> TrainedModel:
         model = train(data, cfg)
-        with self._lock:
-            self._models[analyzer] = model
+        self._models[analyzer] = model
         return model
 
     def model(self, analyzer: str) -> TrainedModel:
-        with self._lock:
-            m = self._models.get(analyzer)
+        m = self._models.get(analyzer)
         if m is None:
             raise ModelUnavailable(f"no trained model for analyzer {analyzer!r}")
         return m
 
     def predict_for(self, analyzer: str, x: FeatureVector) -> Prediction:
         model = self.model(analyzer)
-        with self._lock:
-            self.counters[analyzer] = self.counters.get(analyzer, 0) + 1
+        self.counters[analyzer] = self.counters.get(analyzer, 0) + 1
         return predict(model, x)
 
     def analyze_physio_status(

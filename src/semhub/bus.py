@@ -19,7 +19,6 @@ retries have run out.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -210,7 +209,6 @@ class Broker:
         self._next_sid = 1
         self._message_ids: dict[str, int] = {}
         self._running = True
-        self._lock = threading.RLock()
         self.stats = {
             "published": 0,
             "delivered": 0,
@@ -224,8 +222,7 @@ class Broker:
     # --- lifecycle ------------------------------------------------------
 
     def shutdown(self):
-        with self._lock:
-            self._running = False
+        self._running = False
 
     def _check_running(self):
         if not self._running:
@@ -245,56 +242,52 @@ class Broker:
             topic_filter = TopicFilter.parse(topic_filter)
         if qos not in (0, 1):
             raise InvalidFilter(f"unsupported qos {qos}")
-        with self._lock:
-            self._check_running()
-            for sub in self._subscriptions.values():
-                if sub.client == client and sub.filter == topic_filter:
-                    sub.qos = qos  # re-subscribe updates qos in place
-                    if callback is not None:
-                        sub.callback = callback
-                    return sub.sid
-            sid = self._next_sid
-            self._next_sid += 1
-            self._subscriptions[sid] = _Subscription(
-                sid, client, topic_filter, qos, callback or (lambda d: None), auto_ack
-            )
-            return sid
+        self._check_running()
+        for sub in self._subscriptions.values():
+            if sub.client == client and sub.filter == topic_filter:
+                sub.qos = qos  # re-subscribe updates qos in place
+                if callback is not None:
+                    sub.callback = callback
+                return sub.sid
+        sid = self._next_sid
+        self._next_sid += 1
+        self._subscriptions[sid] = _Subscription(
+            sid, client, topic_filter, qos, callback or (lambda d: None), auto_ack
+        )
+        return sid
 
     def unsubscribe(self, sid: int) -> bool:
-        with self._lock:
-            return self._subscriptions.pop(sid, None) is not None
+        return self._subscriptions.pop(sid, None) is not None
 
     def subscriptions(self) -> list[tuple[int, str, str, int]]:
-        with self._lock:
-            return [
-                (s.sid, s.client, str(s.filter), s.qos)
-                for s in self._subscriptions.values()
-            ]
+        return [
+            (s.sid, s.client, str(s.filter), s.qos)
+            for s in self._subscriptions.values()
+        ]
 
     # --- publishing -----------------------------------------------------
 
     def publish(self, message: Message, publisher: str = "local") -> DeliveryReport:
-        with self._lock:
-            self._check_running()
-            if message.qos == 1 and message.message_id is None:
-                mid = self._message_ids.get(publisher, 0) + 1
-                self._message_ids[publisher] = mid
-                message = Message(message.topic, message.payload, 1, mid)
-            self.stats["published"] += 1
-            matched = 0
-            acked = 0
-            # Sids only grow, so the dict is in sid order.  A subscription a
-            # callback adds waits for the next message; one it removes gets
-            # nothing more from this one.
-            subscriptions = self._subscriptions
-            for sub in tuple(subscriptions.values()):
-                if subscriptions.get(sub.sid) is not sub or not sub.filter.matches(message.topic):
-                    continue
-                matched += 1
-                sub.outbox.append(_Pending(message, publisher, 0, self.now_ms))
-                if len(sub.outbox) == 1:
-                    acked += self._pump(sub)
-            return DeliveryReport(matched, acked)
+        self._check_running()
+        if message.qos == 1 and message.message_id is None:
+            mid = self._message_ids.get(publisher, 0) + 1
+            self._message_ids[publisher] = mid
+            message = Message(message.topic, message.payload, 1, mid)
+        self.stats["published"] += 1
+        matched = 0
+        acked = 0
+        # Sids only grow, so the dict is in sid order.  A subscription a
+        # callback adds waits for the next message; one it removes gets
+        # nothing more from this one.
+        subscriptions = self._subscriptions
+        for sub in tuple(subscriptions.values()):
+            if subscriptions.get(sub.sid) is not sub or not sub.filter.matches(message.topic):
+                continue
+            matched += 1
+            sub.outbox.append(_Pending(message, publisher, 0, self.now_ms))
+            if len(sub.outbox) == 1:
+                acked += self._pump(sub)
+        return DeliveryReport(matched, acked)
 
     def publish_text(self, topic: str, payload: str, qos: int = 0, publisher: str = "local"):
         return self.publish(
@@ -370,44 +363,42 @@ class Broker:
 
     def ack(self, sid: int, message_id: int) -> bool:
         """Manual ack from a subscriber registered with ``auto_ack=False``."""
-        with self._lock:
-            sub = self._subscriptions.get(sid)
-            if not sub or not sub.outbox:
-                return False
-            head = sub.outbox[0]
-            if head.message.message_id != message_id or head.attempts == 0:
-                return False
-            sub.outbox.pop(0)
-            self.stats["acked"] += 1
-            self._pump(sub)
-            return True
+        sub = self._subscriptions.get(sid)
+        if not sub or not sub.outbox:
+            return False
+        head = sub.outbox[0]
+        if head.message.message_id != message_id or head.attempts == 0:
+            return False
+        sub.outbox.pop(0)
+        self.stats["acked"] += 1
+        self._pump(sub)
+        return True
 
     # --- simulated time -------------------------------------------------
 
     def advance(self, ms: int):
         """Move the simulated clock forward, firing due redeliveries."""
-        with self._lock:
-            target = self.now_ms + ms
-            while True:
-                due = [
-                    s.outbox[0].next_attempt_ms
-                    for s in self._subscriptions.values()
-                    if s.outbox and s.outbox[0].attempts > 0
-                ]
-                next_due = min(due, default=None)
-                if next_due is None or next_due > target:
-                    break
-                self.now_ms = max(self.now_ms, next_due)
-                for sid in sorted(self._subscriptions):
-                    sub = self._subscriptions.get(sid)
-                    if (
-                        sub
-                        and sub.outbox
-                        and sub.outbox[0].attempts > 0
-                        and sub.outbox[0].next_attempt_ms <= self.now_ms
-                    ):
-                        self._pump(sub)
-            self.now_ms = target
+        target = self.now_ms + ms
+        while True:
+            due = [
+                s.outbox[0].next_attempt_ms
+                for s in self._subscriptions.values()
+                if s.outbox and s.outbox[0].attempts > 0
+            ]
+            next_due = min(due, default=None)
+            if next_due is None or next_due > target:
+                break
+            self.now_ms = max(self.now_ms, next_due)
+            for sid in sorted(self._subscriptions):
+                sub = self._subscriptions.get(sid)
+                if (
+                    sub
+                    and sub.outbox
+                    and sub.outbox[0].attempts > 0
+                    and sub.outbox[0].next_attempt_ms <= self.now_ms
+                ):
+                    self._pump(sub)
+        self.now_ms = target
 
     def run_until_idle(self, max_ms: int = 60 * 60 * 1000) -> int:
         """Advance time until every outbox is empty; returns elapsed ms."""
@@ -419,5 +410,4 @@ class Broker:
         return self.now_ms - start
 
     def pending_count(self) -> int:
-        with self._lock:
-            return sum(len(s.outbox) for s in self._subscriptions.values())
+        return sum(len(s.outbox) for s in self._subscriptions.values())

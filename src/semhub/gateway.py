@@ -9,6 +9,14 @@ Routes:
     GET  /report            the full scenario report
 
 The server binds a running `Hub`; it never drives the tick loop itself.
+
+Threading: the server runs each connection on its own thread, and no part
+of the hub takes a lock.  So the server holds one lock around every hub
+call its handlers make, and those calls run one at a time; it never holds
+the lock while it reads a body or writes a response.  `Hub.run` takes no
+lock, so nothing may serve while the loop ticks: `hub serve` starts serving
+only after `run()` returns, and a caller that serves from inside a tick
+keeps the loop paused until the server has stopped.
 """
 
 from __future__ import annotations
@@ -35,6 +43,11 @@ class _BodyRefused(Exception):
 
 class _Handler(BaseHTTPRequestHandler):
     hub: Hub  # bound per-server via a subclass attribute
+    hub_lock: threading.Lock  # bound with `hub`; held around each hub call
+
+    def _locked(self, call, *args):
+        with self.hub_lock:
+            return call(*args)
 
     # keep test output quiet
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -74,20 +87,20 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 - stdlib naming
         path = unquote(self.path)
         if path == "/report":
-            return self._send(200, self.hub.report())
+            return self._send(200, self._locked(self.hub.report))
         if path == "/objects":
-            return self._send(200, self.hub.objects_overview())
+            return self._send(200, self._locked(self.hub.objects_overview))
         if path.startswith("/objects/"):
             iri = path[len("/objects/"):]
             try:
-                detail = self.hub.object_detail(iri)
+                detail = self._locked(self.hub.object_detail, iri)
             except MalformedIri as exc:
                 return self._send(400, {"error": str(exc)})
             if detail is None:
                 return self._send(404, {"error": f"unknown object {iri}"})
             return self._send(200, detail)
         if path == "/services":
-            return self._send(200, self.hub.services_overview())
+            return self._send(200, self._locked(self.hub.services_overview))
         self._send(404, {"error": f"no route {path}"})
 
     def do_POST(self):  # noqa: N802 - stdlib naming
@@ -111,15 +124,16 @@ class _Handler(BaseHTTPRequestHandler):
                 error = f"tick must be a JSON integer, got {json.dumps(tick)}"
                 return self._send(400, {"error": error})
             try:
-                record = self.hub.submit_request(capability, user, tick)
+                record = self._locked(self.hub.submit_request, capability, user, tick)
             except TickOutOfRange as exc:
                 return self._send(400, {"error": str(exc)})
             return self._send(200, record)
         if self.path == "/queries":
             try:
-                return self._send(200, self.hub.run_query(doc))
+                answer = self._locked(self.hub.run_query, doc)
             except (HubError, KeyError, ValueError) as exc:
                 return self._send(400, {"error": str(exc)})
+            return self._send(200, answer)
         self._send(404, {"error": f"no route {self.path}"})
 
 
@@ -127,7 +141,8 @@ class GatewayServer:
     """Serves one hub on a background thread; port 0 picks a free port."""
 
     def __init__(self, hub: Hub, host: str = "127.0.0.1", port: int = 0):
-        handler = type("_BoundHandler", (_Handler,), {"hub": hub, "timeout": SOCKET_TIMEOUT_S})
+        bound = {"hub": hub, "hub_lock": threading.Lock(), "timeout": SOCKET_TIMEOUT_S}
+        handler = type("_BoundHandler", (_Handler,), bound)
         self._server = ThreadingHTTPServer((host, port), handler)
         self._server.daemon_threads = True
         self._thread: threading.Thread | None = None

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -236,21 +235,30 @@ class ScenarioConfig:
             monitor_interval=_integer(doc.get("monitorInterval", 5), "monitorInterval"),
             requests=tuple(
                 ScriptedRequest(
-                    _integer(r["tick"], f"requests[{i}].tick"),
-                    _string(r["capability"], f"requests[{i}].capability"),
-                    _string(r["user"], f"requests[{i}].user"),
+                    _required(r, f"requests[{i}]", "tick", _integer),
+                    _required(r, f"requests[{i}]", "capability", _string),
+                    _required(r, f"requests[{i}]", "user", _string),
                 )
                 for i, r in enumerate(_objects(doc.get("requests", []), "requests"))
             ),
             faults=tuple(
                 FaultEvent(
-                    _integer(f["tick"], f"faults[{i}].tick"),
-                    _string(f["kind"], f"faults[{i}].kind"),
+                    _required(f, f"faults[{i}]", "tick", _integer),
+                    _required(f, f"faults[{i}]", "kind", _string),
                     _boolean(f.get("removeTemplate", False), f"faults[{i}].removeTemplate"),
                 )
                 for i, f in enumerate(_objects(doc.get("faults", []), "faults"))
             ),
         )
+
+
+def _required(entry: Mapping, where: str, name: str, check):
+    """`check` applied to a key that a scenario entry must hold; a missing
+    key is named with its list and index, as in `faults[0].kind`."""
+    key = f"{where}.{name}"
+    if name not in entry:
+        raise MalformedScenario(f"{key} is missing")
+    return check(entry[name], key)
 
 
 def _integer(value, key: str) -> int:
@@ -305,8 +313,6 @@ def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
     p = Path(path) if path else DATA_DIR / "scenario.json"
     try:
         return ScenarioConfig.from_json(json.loads(p.read_text(encoding="utf-8")))
-    except KeyError as exc:
-        raise MalformedScenario(f"scenario {p}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, RecursionError) as exc:
         raise MalformedScenario(f"scenario {p}: {exc}") from exc
 
@@ -394,8 +400,6 @@ class Hub:
         self._request_seq = 0
         self._ticks_run = 0
         self._booted = False
-        self._lock = threading.RLock()  # serializes request submission
-        self._metrics_lock = threading.Lock()
 
     # --- boot ----------------------------------------------------------
 
@@ -546,8 +550,7 @@ class Hub:
 
     def _on_alert(self, delivery: Delivery) -> None:
         topic = str(delivery.topic)
-        with self._metrics_lock:
-            self._alerts[topic] = self._alerts.get(topic, 0) + 1
+        self._alerts[topic] = self._alerts.get(topic, 0) + 1
 
     def _publish_event(self, topic: str, payload: Mapping) -> None:
         self.broker.publish(Message(Topic.parse(topic), payload, qos=1), publisher="cvo")
@@ -564,9 +567,8 @@ class Hub:
             faults_at.setdefault(f.tick, []).append(f)
         for tick in range(self.config.duration_ticks):
             self._step(tick, faults_at.get(tick, ()), requests_at.get(tick, ()))
-        with self._lock:
-            self._ticks_run = self.config.duration_ticks
-            self._late_records = deque(maxlen=REQUEST_RECORD_TAIL)
+        self._ticks_run = self.config.duration_ticks
+        self._late_records = deque(maxlen=REQUEST_RECORD_TAIL)
 
     def _step(
         self,
@@ -709,14 +711,10 @@ class Hub:
     def submit_request(self, capability: str, user: str, tick: int | None = None) -> dict:
         """Serve one request at `tick` (default: the end of the run so far);
         a tick outside the run raises TickOutOfRange and records nothing."""
-        with self._lock:
-            if tick is None:
-                tick = self._ticks_run
-            else:
-                self.config.check_tick(tick)
-            return self._submit(capability, user, tick)
-
-    def _submit(self, capability: str, user: str, tick: int) -> dict:
+        if tick is None:
+            tick = self._ticks_run
+        else:
+            self.config.check_tick(tick)
         self._request_seq += 1
         record: dict = {
             "id": f"req-{self._request_seq:04d}",

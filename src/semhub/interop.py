@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -299,7 +298,6 @@ class Synchronizer:
     def __init__(self, store: GraphStore, functional: Iterable[Iri] = ()):
         self._store = store
         self._functional = frozenset(functional)
-        self._lock = threading.Lock()
         # (central graph, subject, predicate) -> (current object, batch ts)
         self._state: dict[tuple[Iri, Iri, Iri], tuple[Term, int]] = {}
 
@@ -311,35 +309,34 @@ class Synchronizer:
     ) -> SyncSummary:
         summary = SyncSummary()
         functional = self._functional
-        with self._lock:
-            unioned = [t for t in incoming if t.predicate not in functional]
-            summary.added = self._store.insert_all(central_graph, unioned)
-            summary.unchanged = len(unioned) - summary.added
-            for t in incoming:
-                if t.predicate not in functional:
-                    continue
-                key = (central_graph, t.subject, t.predicate)
-                current = self._state.get(key)
-                if current is None:
-                    self._store.insert(central_graph, t)
-                    self._state[key] = (t.object, observed_at_ms)
-                    summary.added += 1
-                    continue
-                value, ts = current
-                if t.object == value:
-                    if observed_at_ms > ts:
-                        self._state[key] = (value, observed_at_ms)
-                    summary.unchanged += 1
-                    continue
+        unioned = [t for t in incoming if t.predicate not in functional]
+        summary.added = self._store.insert_all(central_graph, unioned)
+        summary.unchanged = len(unioned) - summary.added
+        for t in incoming:
+            if t.predicate not in functional:
+                continue
+            key = (central_graph, t.subject, t.predicate)
+            current = self._state.get(key)
+            if current is None:
+                self._store.insert(central_graph, t)
+                self._state[key] = (t.object, observed_at_ms)
+                summary.added += 1
+                continue
+            value, ts = current
+            if t.object == value:
                 if observed_at_ms > ts:
-                    self._store.remove(central_graph, Triple(t.subject, t.predicate, value))
-                    self._store.insert(central_graph, t)
-                    self._state[key] = (t.object, observed_at_ms)
-                    summary.superseded += 1
-                else:
-                    summary.unchanged += 1
-                    if ts - observed_at_ms > SKEW_WINDOW_MS:
-                        summary.skew_rejected += 1
+                    self._state[key] = (value, observed_at_ms)
+                summary.unchanged += 1
+                continue
+            if observed_at_ms > ts:
+                self._store.remove(central_graph, Triple(t.subject, t.predicate, value))
+                self._store.insert(central_graph, t)
+                self._state[key] = (t.object, observed_at_ms)
+                summary.superseded += 1
+            else:
+                summary.unchanged += 1
+                if ts - observed_at_ms > SKEW_WINDOW_MS:
+                    summary.skew_rejected += 1
         return summary
 
     def evict(self, central_graph: Iri, triples: Sequence[Triple]) -> None:
@@ -347,15 +344,14 @@ class Synchronizer:
         there: each set-unioned triple, and for each functional (subject,
         predicate) its current value and its state."""
         gone = []
-        with self._lock:
-            for t in triples:
-                if t.predicate in self._functional:
-                    current = self._state.pop((central_graph, t.subject, t.predicate), None)
-                    if current is None:
-                        continue
-                    t = Triple(t.subject, t.predicate, current[0])
-                gone.append(t)
-            self._store.remove_all(central_graph, gone)
+        for t in triples:
+            if t.predicate in self._functional:
+                current = self._state.pop((central_graph, t.subject, t.predicate), None)
+                if current is None:
+                    continue
+                t = Triple(t.subject, t.predicate, current[0])
+            gone.append(t)
+        self._store.remove_all(central_graph, gone)
 
 
 # --- query log --------------------------------------------------------------
@@ -480,23 +476,19 @@ class QueryLog:
 
     def __init__(self):
         self._queries: dict[str, Query] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._queries)
 
     def get(self, signature: str) -> Query | None:
-        with self._lock:
-            return self._queries.get(signature)
+        return self._queries.get(signature)
 
     def setdefault(self, signature: str, query: Query) -> Query:
-        """The query logged under `signature`, logging `query` if none is;
-        one atomic step, so exactly one of two racing callers logs."""
-        with self._lock:
-            logged = self._queries.setdefault(signature, query)
-            if len(self._queries) > QUERY_LOG_CAPACITY:
-                del self._queries[next(iter(self._queries))]
-            return logged
+        """The query logged under `signature`, logging `query` if none is."""
+        logged = self._queries.setdefault(signature, query)
+        if len(self._queries) > QUERY_LOG_CAPACITY:
+            del self._queries[next(iter(self._queries))]
+        return logged
 
 
 def process_query(q: Query, log: QueryLog, store: GraphStore) -> tuple[BindingSet, str]:
@@ -595,34 +587,29 @@ class InteropServices:
             "synchronize": 0,
             "query": 0,
         }
-        self._lock = threading.Lock()
-
-    def _bump(self, name: str) -> None:
-        with self._lock:
-            self.counters[name] += 1
 
     def translate(self, records, m) -> list[Triple]:
-        self._bump("translate")
+        self.counters["translate"] += 1
         return translate_relational(records, m)
 
     def annotate(self, triples, ctx) -> list[Triple]:
-        self._bump("annotate")
+        self.counters["annotate"] += 1
         return annotate(triples, ctx)
 
     def align(self, triples, a) -> list[Triple]:
-        self._bump("align")
+        self.counters["align"] += 1
         return align(triples, a)
 
     def validate(self, triples, ctx) -> ValidationReport:
-        self._bump("validate")
+        self.counters["validate"] += 1
         return validate_description(triples, ctx)
 
     def synchronize(self, incoming, central_graph, observed_at_ms) -> SyncSummary:
-        self._bump("synchronize")
+        self.counters["synchronize"] += 1
         return self.synchronizer.synchronize(incoming, central_graph, observed_at_ms)
 
     def process_query(self, q: Query) -> tuple[BindingSet, str]:
         """Run q through the query log; only a query that evaluates is counted."""
         answer = process_query(q, self.query_log, self.store)
-        self._bump("query")
+        self.counters["query"] += 1
         return answer

@@ -3,8 +3,8 @@
 A VirtualObject mirrors one physical device: its observations land as triples
 in a per-VO data graph.  A CompositeVO groups member VOs and carries an
 ordered rule list; each evaluation pass matches rule conditions against a
-snapshot of the member data graphs and runs the action once per distinct
-binding.  Data graphs keep only the most recent observations per VO: each
+snapshot of the member data graphs and publishes the rule's message once
+per distinct binding.  Data graphs keep only the most recent observations per VO: each
 VO's retention window keeps the two triples every retained observation
 wrote, with a reference count per triple, so ingesting an observation and
 evicting the oldest cost O(1) and eviction removes the very triples the
@@ -13,7 +13,6 @@ ingest built.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -36,7 +35,6 @@ from .semantic import (
     TriplePattern,
     Triple,
     Variable,
-    instantiate,
     integer,
     ordered_distinct,
     pattern_variables,
@@ -97,33 +95,18 @@ class Observation:
 # --- rules ------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AssertTriples:
-    templates: tuple[tuple[object, object, object], ...]  # pattern-term triples
-
-
-@dataclass(frozen=True)
 class PublishMessage:
     topic: str
     payload: Mapping[str, object]
 
 
-@dataclass(frozen=True)
-class InvokeService:
-    kind: str
-    params: Mapping[str, object]
-
-
-Action = AssertTriples | PublishMessage | InvokeService
-
 _PLACEHOLDER_PREFIX = "{?"
 
 
 def _template_variables(value) -> set[Variable]:
-    """Variables referenced anywhere in an action payload/params value."""
+    """Variables referenced anywhere in an action's topic or payload."""
     found: set[Variable] = set()
-    if isinstance(value, Variable):
-        found.add(value)
-    elif type(value) is str:  # an Iri is a term, not a template
+    if type(value) is str:  # an Iri is a term, not a template
         i = 0
         while (i := value.find(_PLACEHOLDER_PREFIX, i)) != -1:
             end = value.find("}", i)
@@ -162,7 +145,7 @@ class Rule:
     id: str
     condition: tuple[TriplePattern, ...]
     filters: tuple[Filter, ...]
-    action: Action
+    action: PublishMessage
     plan: Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,12 +153,7 @@ class Rule:
         for f in self.filters:
             if f.var not in bound:
                 raise ActionFailure(self.id, f"filter variable {f.var} unbound")
-        if isinstance(self.action, AssertTriples):
-            used = _template_variables(self.action.templates)
-        elif isinstance(self.action, PublishMessage):
-            used = _template_variables([self.action.topic, dict(self.action.payload)])
-        else:
-            used = _template_variables(dict(self.action.params))
+        used = _template_variables([self.action.topic, dict(self.action.payload)])
         loose = used - bound
         if loose:
             names = ", ".join(sorted(f"?{v.name}" for v in loose))
@@ -245,11 +223,12 @@ class ObjectRegistry:
     """Central repository of VOs, CVOs and user models.
 
     Ingestion enforces per-source sequence monotonicity and the retention
-    window; rule evaluation reads a snapshot, so concurrent ingestion only
-    affects the next pass.  Each VO's window keeps reference counts on the
-    triples its observations wrote: an evicted observation's triple leaves
-    the data graph only when no retained observation wrote it too, and
-    neither ingest nor eviction scans the window.
+    window; rule evaluation reads a snapshot of the member data graphs.
+    Each VO's window keeps reference counts on the triples its observations
+    wrote: an evicted observation's triple leaves the data graph only when
+    no retained observation wrote it too, and neither ingest nor eviction
+    scans the window.  The registry takes no lock: the gateway serializes
+    the calls that reach it from more than one thread.
     """
 
     def __init__(
@@ -264,7 +243,6 @@ class ObjectRegistry:
         self._users: dict[Iri, UserModel] = {}
         self._windows: dict[Iri, _Window] = {}
         self._counts = {"observations": 0, "evicted": 0, "stale_dropped": 0}
-        self._lock = threading.RLock()
 
     # --- registration ---------------------------------------------------
 
@@ -281,143 +259,131 @@ class ObjectRegistry:
             self.store.insert(g, t)
 
     def register_vo(self, vo: VirtualObject) -> Iri:
-        with self._lock:
-            if vo.id in self._vos or vo.id in self._cvos:
-                raise DuplicateId(f"object id {vo.id} already registered")
-            if not self.store.contains(
-                vo.description_graph, Triple(vo.id, vocab.TYPE, VO_CLASS)
-            ):
-                raise MissingDescription(
-                    f"description graph {vo.description_graph} lacks the type triple"
-                )
-            self._vos[vo.id] = vo
-            self._windows[vo.id] = _Window(data_graph_of(vo.id))
-            return vo.id
+        if vo.id in self._vos or vo.id in self._cvos:
+            raise DuplicateId(f"object id {vo.id} already registered")
+        if not self.store.contains(
+            vo.description_graph, Triple(vo.id, vocab.TYPE, VO_CLASS)
+        ):
+            raise MissingDescription(
+                f"description graph {vo.description_graph} lacks the type triple"
+            )
+        self._vos[vo.id] = vo
+        self._windows[vo.id] = _Window(data_graph_of(vo.id))
+        return vo.id
 
     def register_cvo(self, cvo: CompositeVO) -> Iri:
-        with self._lock:
-            if cvo.id in self._cvos or cvo.id in self._vos:
-                raise DuplicateId(f"object id {cvo.id} already registered")
-            for member in cvo.members:
-                if member not in self._vos:
-                    raise UnknownSource(f"CVO member {member} is not a registered VO")
-            if not self.store.contains(
-                cvo.description_graph, Triple(cvo.id, vocab.TYPE, CVO_CLASS)
-            ):
-                raise MissingDescription(
-                    f"description graph {cvo.description_graph} lacks the type triple"
-                )
-            self._cvos[cvo.id] = cvo
-            return cvo.id
+        if cvo.id in self._cvos or cvo.id in self._vos:
+            raise DuplicateId(f"object id {cvo.id} already registered")
+        for member in cvo.members:
+            if member not in self._vos:
+                raise UnknownSource(f"CVO member {member} is not a registered VO")
+        if not self.store.contains(
+            cvo.description_graph, Triple(cvo.id, vocab.TYPE, CVO_CLASS)
+        ):
+            raise MissingDescription(
+                f"description graph {cvo.description_graph} lacks the type triple"
+            )
+        self._cvos[cvo.id] = cvo
+        return cvo.id
 
     def register_user(self, user: UserModel) -> Iri:
-        with self._lock:
-            if user.user_id in self._users:
-                raise DuplicateId(f"user {user.user_id} already registered")
-            if not self.store.has_graph(user.profile_graph):
-                raise MissingDescription(
-                    f"profile graph {user.profile_graph} does not exist"
-                )
-            self._users[user.user_id] = user
-            return user.user_id
+        if user.user_id in self._users:
+            raise DuplicateId(f"user {user.user_id} already registered")
+        if not self.store.has_graph(user.profile_graph):
+            raise MissingDescription(
+                f"profile graph {user.profile_graph} does not exist"
+            )
+        self._users[user.user_id] = user
+        return user.user_id
 
     def vo(self, vo_id: Iri) -> VirtualObject:
-        with self._lock:
-            try:
-                return self._vos[vo_id]
-            except KeyError:
-                raise UnknownSource(f"no VO registered as {vo_id}") from None
+        try:
+            return self._vos[vo_id]
+        except KeyError:
+            raise UnknownSource(f"no VO registered as {vo_id}") from None
 
     def cvo(self, cvo_id: Iri) -> CompositeVO:
-        with self._lock:
-            try:
-                return self._cvos[cvo_id]
-            except KeyError:
-                raise UnknownSource(f"no CVO registered as {cvo_id}") from None
+        try:
+            return self._cvos[cvo_id]
+        except KeyError:
+            raise UnknownSource(f"no CVO registered as {cvo_id}") from None
 
     def user(self, user_id: Iri) -> UserModel:
-        with self._lock:
-            try:
-                return self._users[user_id]
-            except KeyError:
-                raise UnknownSource(f"no user registered as {user_id}") from None
+        try:
+            return self._users[user_id]
+        except KeyError:
+            raise UnknownSource(f"no user registered as {user_id}") from None
 
     def vos(self) -> list[VirtualObject]:
-        with self._lock:
-            return [self._vos[k] for k in sorted(self._vos)]
+        return [self._vos[k] for k in sorted(self._vos)]
 
     def cvos(self) -> list[CompositeVO]:
-        with self._lock:
-            return [self._cvos[k] for k in sorted(self._cvos)]
+        return [self._cvos[k] for k in sorted(self._cvos)]
 
     def counts(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     # --- ingestion ------------------------------------------------------
 
     def ingest(self, obs: Observation) -> int:
         """Materialize one observation as two triples in the VO data graph."""
-        with self._lock:
-            vo = self._vos.get(obs.source)
-            if vo is None:
-                raise UnknownSource(f"observation from unregistered source {obs.source}")
-            window = self._windows[obs.source]
-            last = window.last_seq
-            if last is not None and obs.sequence <= last:
-                self._counts["stale_dropped"] += 1
-                raise StaleSequence(
-                    f"sequence {obs.sequence} not above last seen {last} for {obs.source}"
-                )
-            last_ts = window.last_ts
-            if last_ts is not None and obs.timestamp < last_ts:
-                self._counts["stale_dropped"] += 1
-                raise StaleSequence(
-                    f"timestamp {obs.timestamp} regresses below {last_ts} for {obs.source}"
-                )
-            window.last_seq = obs.sequence
-            window.last_ts = obs.timestamp
+        vo = self._vos.get(obs.source)
+        if vo is None:
+            raise UnknownSource(f"observation from unregistered source {obs.source}")
+        window = self._windows[obs.source]
+        last = window.last_seq
+        if last is not None and obs.sequence <= last:
+            self._counts["stale_dropped"] += 1
+            raise StaleSequence(
+                f"sequence {obs.sequence} not above last seen {last} for {obs.source}"
+            )
+        last_ts = window.last_ts
+        if last_ts is not None and obs.timestamp < last_ts:
+            self._counts["stale_dropped"] += 1
+            raise StaleSequence(
+                f"timestamp {obs.timestamp} regresses below {last_ts} for {obs.source}"
+            )
+        window.last_seq = obs.sequence
+        window.last_ts = obs.timestamp
 
-            refs = window.refs
-            held = []
-            added = []
-            for t in (
-                Triple(obs.source, vo.observed_property, obs.value),
-                Triple(obs.source, vocab.OBSERVED_AT, integer(obs.timestamp)),
-            ):
-                ref = refs.get(t)
-                if ref is None:
-                    refs[t] = ref = [t, 0]
-                    added.append(t)
-                ref[1] += 1
-                held.append(ref[0])
-            window.buffer.append((obs, *held))
-            if added:
-                self.store.insert_all(window.graph, added)
-            self._counts["observations"] += 1
+        refs = window.refs
+        held = []
+        added = []
+        for t in (
+            Triple(obs.source, vo.observed_property, obs.value),
+            Triple(obs.source, vocab.OBSERVED_AT, integer(obs.timestamp)),
+        ):
+            ref = refs.get(t)
+            if ref is None:
+                refs[t] = ref = [t, 0]
+                added.append(t)
+            ref[1] += 1
+            held.append(ref[0])
+        window.buffer.append((obs, *held))
+        if added:
+            self.store.insert_all(window.graph, added)
+        self._counts["observations"] += 1
 
-            released = []
-            while len(window.buffer) > self.retention:
-                for t in window.buffer.popleft()[1:]:  # the evicted observation's triples
-                    ref = refs[t]
-                    ref[1] -= 1
-                    if not ref[1]:
-                        del refs[t]
-                        released.append(t)
-                self._counts["evicted"] += 1
-            if released:
-                self.store.remove_all(window.graph, released)
-            return 2
+        released = []
+        while len(window.buffer) > self.retention:
+            for t in window.buffer.popleft()[1:]:  # the evicted observation's triples
+                ref = refs[t]
+                ref[1] -= 1
+                if not ref[1]:
+                    del refs[t]
+                    released.append(t)
+            self._counts["evicted"] += 1
+        if released:
+            self.store.remove_all(window.graph, released)
+        return 2
 
     def buffered(self, vo_id: Iri) -> list[Observation]:
-        with self._lock:
-            window = self._windows.get(vo_id)
-            return [obs for obs, _, _ in window.buffer] if window else []
+        window = self._windows.get(vo_id)
+        return [obs for obs, _, _ in window.buffer] if window else []
 
     def last_sequence(self, vo_id: Iri) -> int | None:
-        with self._lock:
-            window = self._windows.get(vo_id)
-            return window.last_seq if window else None
+        window = self._windows.get(vo_id)
+        return window.last_seq if window else None
 
     # --- rule evaluation ------------------------------------------------
 
@@ -425,7 +391,6 @@ class ObjectRegistry:
         self,
         cvo_id: Iri,
         publisher: Callable[[str, Mapping], None] | None = None,
-        invoker: Callable[[str, Mapping], object] | None = None,
     ) -> list[FiredRule]:
         """Run every rule of the CVO once over the current member data."""
         cvo = self.cvo(cvo_id)
@@ -437,40 +402,13 @@ class ObjectRegistry:
             if not bindings:
                 continue
             try:
-                outcome = self._run_action(cvo, rule, bindings, publisher, invoker)
-                fired.append(FiredRule(rule.id, tuple(bindings), outcome, True))
+                if publisher is None:
+                    raise ActionFailure(rule.id, "no message bus attached")
+                action = rule.action
+                for b in bindings:
+                    publisher(_substitute(action.topic, b), _substitute(dict(action.payload), b))
+                outcome, ok = f"published {len(bindings)}", True
             except Exception as exc:
-                fired.append(
-                    FiredRule(rule.id, tuple(bindings), f"failed: {exc}", False)
-                )
+                outcome, ok = f"failed: {exc}", False
+            fired.append(FiredRule(rule.id, tuple(bindings), outcome, ok))
         return fired
-
-    def _run_action(
-        self,
-        cvo: CompositeVO,
-        rule: Rule,
-        bindings: Sequence[Mapping[Variable, Term]],
-        publisher,
-        invoker,
-    ) -> str:
-        action = rule.action
-        if isinstance(action, AssertTriples):
-            added = 0
-            for b in bindings:
-                for template in action.templates:
-                    if self.store.insert(cvo.description_graph, instantiate(template, b)):
-                        added += 1
-            return f"asserted {added} new"
-        if isinstance(action, PublishMessage):
-            if publisher is None:
-                raise ActionFailure(rule.id, "no message bus attached")
-            for b in bindings:
-                publisher(
-                    _substitute(action.topic, b), _substitute(dict(action.payload), b)
-                )
-            return f"published {len(bindings)}"
-        if invoker is None:
-            raise ActionFailure(rule.id, "no service invoker attached")
-        for b in bindings:
-            invoker(action.kind, _substitute(dict(action.params), b))
-        return f"invoked {len(bindings)}"

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -232,7 +231,7 @@ class ReasoningService:
     A run evaluates its rules in a private store and writes to the shared
     store only its result: it clears the user's previous fact and, unless
     the derivation is ambiguous, inserts the derived facts into the output
-    graph.  A concurrent reader never sees a run's inputs."""
+    graph.  The shared store never holds a run's inputs."""
 
     FACT_PREDICATE = {
         "activity": vocab.CURRENT_ACTIVITY,
@@ -248,7 +247,6 @@ class ReasoningService:
         self.registry = registry
         self.store = registry.store
         self.programs = {name: tuple(rules) for name, rules in programs.items()}
-        self._lock = threading.Lock()
         self.counters: dict[str, int] = {name: 0 for name in self.programs}
         self.derived_facts = 0
         for name, rules in self.programs.items():
@@ -282,27 +280,26 @@ class ReasoningService:
     def _run(self, name: str, user: Iri, facts: list[Triple]) -> list[Triple]:
         out = self.output_graph(name)
         fact_predicate = self.FACT_PREDICATE[name]
-        with self._lock:
-            self.counters[name] += 1
-            self._clear_user_facts(out, user, fact_predicate)
-            if not facts:
-                return []
-            derived = _derive(name, self.programs[name], facts)
-            statuses = {
-                t.object
-                for t in derived
-                if t.subject == user and t.predicate == fact_predicate
-            }
-            if len(statuses) > 1:
-                names = ", ".join(sorted(serialize_term(s) for s in statuses))
-                if name == "activity":
-                    raise AmbiguousActivity(f"multiple activities derived: {names}")
-                if name == "physio-status":
-                    raise AmbiguousStatus(f"multiple statuses derived: {names}")
-                raise AmbiguousDerivation(f"multiple {name} facts derived: {names}")
-            self.store.insert_all(out, derived)
-            self.derived_facts += len(derived)
-            return derived
+        self.counters[name] += 1
+        self._clear_user_facts(out, user, fact_predicate)
+        if not facts:
+            return []
+        derived = _derive(name, self.programs[name], facts)
+        statuses = {
+            t.object
+            for t in derived
+            if t.subject == user and t.predicate == fact_predicate
+        }
+        if len(statuses) > 1:
+            names = ", ".join(sorted(serialize_term(s) for s in statuses))
+            if name == "activity":
+                raise AmbiguousActivity(f"multiple activities derived: {names}")
+            if name == "physio-status":
+                raise AmbiguousStatus(f"multiple statuses derived: {names}")
+            raise AmbiguousDerivation(f"multiple {name} facts derived: {names}")
+        self.store.insert_all(out, derived)
+        self.derived_facts += len(derived)
+        return derived
 
     def _clear_user_facts(self, graph: Iri, user: Iri, predicate: Iri) -> None:
         for t in self.store.triples(graph):

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 import re
-import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import Decimal
@@ -776,92 +775,80 @@ def solve_query(index: TripleIndex, q: Query) -> BindingSet:
 class GraphStore:
     """Named graphs of triples with set semantics.
 
-    All mutation happens under one lock.  The store keeps one `TripleIndex`
-    per named graph, built on the first snapshot that covers the graph and
-    dropped by any write to it, so a graph is re-indexed only after it
-    changed.  Readers share the cached indexes, which are never mutated:
-    a snapshot taken before a write keeps what it held, and readers never
-    observe a half-applied update.
+    The store keeps one `TripleIndex` per named graph, built on the first
+    snapshot that covers the graph and dropped by any write to it, so a
+    graph is re-indexed only after it changed.  Snapshots share the cached
+    indexes, which are never mutated: a snapshot taken before a write keeps
+    what it held.  The store takes no lock; the gateway serializes the
+    calls that reach it from more than one thread.
     """
 
     def __init__(self):
         self._graphs: dict[Iri, dict[Triple, None]] = {}
         self._indexes: dict[Iri, TripleIndex] = {}
-        self._lock = threading.RLock()
 
     def insert(self, graph: Iri, t: Triple) -> bool:
         """Insert t; True iff it was not already present. Creates the graph."""
-        with self._lock:
-            g = self._graphs.setdefault(graph, {})
-            if t in g:
-                return False
-            g[t] = None
-            self._indexes.pop(graph, None)
-            return True
+        g = self._graphs.setdefault(graph, {})
+        if t in g:
+            return False
+        g[t] = None
+        self._indexes.pop(graph, None)
+        return True
 
     def remove(self, graph: Iri, t: Triple) -> bool:
-        with self._lock:
-            g = self._graphs.get(graph)
-            if g is None or t not in g:
-                return False
-            del g[t]
-            self._indexes.pop(graph, None)
-            return True
+        g = self._graphs.get(graph)
+        if g is None or t not in g:
+            return False
+        del g[t]
+        self._indexes.pop(graph, None)
+        return True
 
     def remove_all(self, graph: Iri, triples: Iterable[Triple]) -> None:
         """Remove every one of `triples` that the graph holds."""
-        with self._lock:
-            g = self._graphs.get(graph)
-            if g is None:
-                return
-            size = len(g)
-            for t in triples:
-                g.pop(t, None)
-            if len(g) < size:
-                self._indexes.pop(graph, None)
+        g = self._graphs.get(graph)
+        if g is None:
+            return
+        size = len(g)
+        for t in triples:
+            g.pop(t, None)
+        if len(g) < size:
+            self._indexes.pop(graph, None)
 
     def insert_all(self, graph: Iri, triples: Iterable[Triple]) -> int:
-        """Insert many triples under one acquisition of the lock; returns the
-        number actually added.  As with `insert`, the graph comes into being
-        with its first triple, and its cached index is dropped only when
-        something was added."""
-        with self._lock:
-            g = self._graphs.get(graph, {})
-            size = len(g)
-            try:
-                for t in triples:
-                    g.setdefault(t)
-            finally:  # if `triples` raises part way, what it added stays and is indexed anew
-                added = len(g) - size
-                if added:
-                    self._graphs[graph] = g
-                    self._indexes.pop(graph, None)
+        """Insert many triples; returns the number actually added.  As with
+        `insert`, the graph comes into being with its first triple, and its
+        cached index is dropped only when something was added."""
+        g = self._graphs.get(graph, {})
+        size = len(g)
+        try:
+            for t in triples:
+                g.setdefault(t)
+        finally:  # if `triples` raises part way, what it added stays and is indexed anew
+            added = len(g) - size
+            if added:
+                self._graphs[graph] = g
+                self._indexes.pop(graph, None)
         return added
 
     def graphs(self) -> list[Iri]:
-        with self._lock:
-            return sorted(self._graphs)
+        return sorted(self._graphs)
 
     def has_graph(self, graph: Iri) -> bool:
-        with self._lock:
-            return graph in self._graphs
+        return graph in self._graphs
 
     def graph_size(self, graph: Iri) -> int:
-        with self._lock:
-            return len(self._graphs.get(graph, {}))
+        return len(self._graphs.get(graph, {}))
 
     def contains(self, graph: Iri, t: Triple) -> bool:
-        with self._lock:
-            return t in self._graphs.get(graph, {})
+        return t in self._graphs.get(graph, {})
 
     def triples(self, graph: Iri) -> list[Triple]:
-        with self._lock:
-            return list(self._graphs.get(graph, {}))
+        return list(self._graphs.get(graph, {}))
 
     def _index(self, graph: Iri) -> TripleIndex:
-        """The cached index of one graph; call with the lock held.  Names
-        of absent graphs are not cached, so queries naming unknown graphs
-        cannot grow the cache."""
+        """The cached index of one graph.  Names of absent graphs are not
+        cached, so queries naming unknown graphs cannot grow the cache."""
         index = self._indexes.get(graph)
         if index is None:
             g = self._graphs.get(graph)
@@ -871,12 +858,10 @@ class GraphStore:
         return index
 
     def snapshot(self, scope: Iterable[Iri] | None = None) -> TripleIndex:
-        """Consistent snapshot of the scoped graphs (all graphs when empty):
-        a graph's cached index itself, or the union of several in graph
-        name order."""
-        with self._lock:
-            names = sorted(scope) if scope else sorted(self._graphs)
-            parts = [self._index(name) for name in names]
+        """Snapshot of the scoped graphs (all graphs when empty): a graph's
+        cached index itself, or the union of several in graph name order."""
+        names = sorted(scope) if scope else sorted(self._graphs)
+        parts = [self._index(name) for name in names]
         return parts[0] if len(parts) == 1 else TripleIndex.union(parts)
 
     def evaluate(self, q: Query) -> BindingSet:

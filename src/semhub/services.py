@@ -2,17 +2,16 @@
 evaluation and composition-flow orchestration.
 
 Microservices here are in-process actors: a descriptor row in the repository
-plus a handler callable keyed by kind.  The repository is one linearizable
-registry — every transition and instantiation goes through its lock — and
-a flow runs its steps one at a time, in topological order, on the caller's
-thread.  Evaluating a capability request keeps no state: it returns a
-Decision, and the caller keeps the only record of the request.
+plus a handler callable keyed by kind.  The repository is one registry of
+descriptors, templates and handlers, and a flow runs its steps one at a
+time, in topological order, on the caller's thread.  Evaluating a
+capability request keeps no state: it returns a Decision, and the caller
+keeps the only record of the request.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -162,7 +161,7 @@ Handler = Callable[[MicroserviceDescriptor, dict], dict]
 
 
 class Repository:
-    """Linearizable registry of descriptors, templates, flows and policy."""
+    """Registry of descriptors, templates, flows and policy."""
 
     def __init__(self):
         self._descriptors: dict[str, MicroserviceDescriptor] = {}
@@ -173,93 +172,78 @@ class Repository:
         self._capability_flows: dict[str, str] = {}
         self._policy: dict[str, int] = {}
         self._counters: dict[str, int] = {}
-        self._lock = threading.RLock()
 
     # --- registration ---------------------------------------------------
 
     def add_template(self, template: MicroserviceTemplate) -> None:
-        with self._lock:
-            self._templates[template.template_id] = template
-            kinds = self._templates_by_kind.setdefault(template.kind, [])
-            if template.template_id not in kinds:
-                kinds.append(template.template_id)
-                kinds.sort()
+        self._templates[template.template_id] = template
+        kinds = self._templates_by_kind.setdefault(template.kind, [])
+        if template.template_id not in kinds:
+            kinds.append(template.template_id)
+            kinds.sort()
 
     def remove_template(self, template_id: str) -> None:
-        with self._lock:
-            template = self._templates.pop(template_id, None)
-            if template:
-                self._templates_by_kind.get(template.kind, []).remove(template_id)
+        template = self._templates.pop(template_id, None)
+        if template:
+            self._templates_by_kind.get(template.kind, []).remove(template_id)
 
     def template_for_kind(self, kind: str) -> MicroserviceTemplate | None:
-        with self._lock:
-            ids = self._templates_by_kind.get(kind)
-            return self._templates[ids[0]] if ids else None
+        ids = self._templates_by_kind.get(kind)
+        return self._templates[ids[0]] if ids else None
 
     def register(self, descriptor: MicroserviceDescriptor) -> None:
         """Install a pre-built descriptor (tests, model checks, migration)."""
-        with self._lock:
-            if descriptor.id in self._descriptors:
-                raise DuplicateId(f"descriptor {descriptor.id} already present")
-            self._descriptors[descriptor.id] = descriptor
+        if descriptor.id in self._descriptors:
+            raise DuplicateId(f"descriptor {descriptor.id} already present")
+        self._descriptors[descriptor.id] = descriptor
 
     def register_handler(self, kind: str, handler: Handler) -> None:
-        with self._lock:
-            self._handlers[kind] = handler
+        self._handlers[kind] = handler
 
     def add_flow(self, flow: CompositionFlow, capability: str | None = None) -> None:
-        with self._lock:
-            self._flows[flow.flow_id] = flow
-            if capability:
-                self._capability_flows[capability] = flow.flow_id
+        self._flows[flow.flow_id] = flow
+        if capability:
+            self._capability_flows[capability] = flow.flow_id
 
     def flow(self, flow_id: str) -> CompositionFlow:
-        with self._lock:
-            return self._flows[flow_id]
+        return self._flows[flow_id]
 
     def flow_for_capability(self, capability: str) -> CompositionFlow | None:
-        with self._lock:
-            flow_id = self._capability_flows.get(capability)
-            return self._flows[flow_id] if flow_id else None
+        flow_id = self._capability_flows.get(capability)
+        return self._flows[flow_id] if flow_id else None
 
     def set_policy(self, capability: str, min_level: int) -> None:
-        with self._lock:
-            self._policy[capability] = min_level
+        self._policy[capability] = min_level
 
     def policy(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._policy)
+        return dict(self._policy)
 
     # --- descriptor access ----------------------------------------------
 
     def get(self, descriptor_id: str) -> MicroserviceDescriptor:
-        with self._lock:
-            try:
-                return self._descriptors[descriptor_id]
-            except KeyError:
-                raise UnresolvableKind(descriptor_id) from None
+        try:
+            return self._descriptors[descriptor_id]
+        except KeyError:
+            raise UnresolvableKind(descriptor_id) from None
 
     def descriptors(self) -> list[MicroserviceDescriptor]:
-        with self._lock:
-            return [self._descriptors[k] for k in sorted(self._descriptors)]
+        return [self._descriptors[k] for k in sorted(self._descriptors)]
 
     def of_kind(self, kind: str) -> list[MicroserviceDescriptor]:
-        with self._lock:
-            return [
-                self._descriptors[k]
-                for k in sorted(self._descriptors)
-                if self._descriptors[k].kind == kind
-            ]
+        return [
+            self._descriptors[k]
+            for k in sorted(self._descriptors)
+            if self._descriptors[k].kind == kind
+        ]
 
     def discover(self, kind: str) -> list[MicroserviceDescriptor]:
         """Running instances of the kind, least-loaded first, ties by id."""
-        with self._lock:
-            found = [
-                d
-                for d in self._descriptors.values()
-                if d.kind == kind and d.state == RUNNING
-            ]
-            return sorted(found, key=lambda d: (d.load_queue_depth, d.id))
+        found = [
+            d
+            for d in self._descriptors.values()
+            if d.kind == kind and d.state == RUNNING
+        ]
+        return sorted(found, key=lambda d: (d.load_queue_depth, d.id))
 
     # --- lifecycle ------------------------------------------------------
 
@@ -271,41 +255,37 @@ class Repository:
         descriptor.state = target
 
     def set_lifecycle(self, descriptor_id: str, target: str) -> MicroserviceDescriptor:
-        with self._lock:
-            descriptor = self.get(descriptor_id)
-            if target not in (RUNNING, HALTED):
-                raise IllegalTransition(f"cannot request target state {target!r}")
-            if target == HALTED and descriptor.state == RUNNING:
-                siblings_running = [
-                    d
-                    for d in self._descriptors.values()
-                    if d.kind == descriptor.kind
-                    and d.state == RUNNING
-                    and d.id != descriptor_id
-                ]
-                if not siblings_running:
-                    raise LastRunningInstance(
-                        f"{descriptor_id} is the last Running {descriptor.kind}"
-                    )
-            self._transition(descriptor, target)
-            return descriptor
+        descriptor = self.get(descriptor_id)
+        if target not in (RUNNING, HALTED):
+            raise IllegalTransition(f"cannot request target state {target!r}")
+        if target == HALTED and descriptor.state == RUNNING:
+            siblings_running = [
+                d
+                for d in self._descriptors.values()
+                if d.kind == descriptor.kind
+                and d.state == RUNNING
+                and d.id != descriptor_id
+            ]
+            if not siblings_running:
+                raise LastRunningInstance(
+                    f"{descriptor_id} is the last Running {descriptor.kind}"
+                )
+        self._transition(descriptor, target)
+        return descriptor
 
     def mark_failed(self, descriptor_id: str) -> MicroserviceDescriptor:
-        with self._lock:
-            descriptor = self.get(descriptor_id)
-            if descriptor.state == FAILED:
-                raise IllegalTransition(f"{descriptor_id} already Failed")
-            descriptor.state = FAILED
-            return descriptor
+        descriptor = self.get(descriptor_id)
+        if descriptor.state == FAILED:
+            raise IllegalTransition(f"{descriptor_id} already Failed")
+        descriptor.state = FAILED
+        return descriptor
 
     def set_depth(self, descriptor_id: str, depth: int) -> None:
-        with self._lock:
-            self.get(descriptor_id).load_queue_depth = depth
+        self.get(descriptor_id).load_queue_depth = depth
 
     def adjust_depth(self, descriptor_id: str, delta: int) -> None:
-        with self._lock:
-            d = self.get(descriptor_id)
-            d.load_queue_depth = max(0, d.load_queue_depth + delta)
+        d = self.get(descriptor_id)
+        d.load_queue_depth = max(0, d.load_queue_depth + delta)
 
     # --- instantiation --------------------------------------------------
 
@@ -341,35 +321,34 @@ class Repository:
         return merged
 
     def instantiate(self, kind: str, params: Mapping[str, object] | None = None) -> MicroserviceDescriptor:
-        with self._lock:
-            template = self.template_for_kind(kind)
-            if template is None:
-                raise NoTemplate(f"no template for kind {kind!r}")
-            if template.singleton:
-                live = [
-                    d
-                    for d in self._descriptors.values()
-                    if d.template_id == template.template_id and d.state != FAILED
-                ]
-                if live:
-                    raise SingletonExists(
-                        f"singleton template {template.template_id} already "
-                        f"has live instance {live[0].id}"
-                    )
-            merged = self._validate_params(template, params or {})
-            n = self._counters.get(kind, 0) + 1
-            self._counters[kind] = n
-            descriptor = MicroserviceDescriptor(
-                id=f"{kind}-{n}",
-                kind=kind,
-                endpoint=f"/svc/{kind}/{n}",
-                state=REGISTERED,
-                template_id=template.template_id,
-                params=merged,
-            )
-            self._descriptors[descriptor.id] = descriptor
-            self._transition(descriptor, RUNNING)
-            return descriptor
+        template = self.template_for_kind(kind)
+        if template is None:
+            raise NoTemplate(f"no template for kind {kind!r}")
+        if template.singleton:
+            live = [
+                d
+                for d in self._descriptors.values()
+                if d.template_id == template.template_id and d.state != FAILED
+            ]
+            if live:
+                raise SingletonExists(
+                    f"singleton template {template.template_id} already "
+                    f"has live instance {live[0].id}"
+                )
+        merged = self._validate_params(template, params or {})
+        n = self._counters.get(kind, 0) + 1
+        self._counters[kind] = n
+        descriptor = MicroserviceDescriptor(
+            id=f"{kind}-{n}",
+            kind=kind,
+            endpoint=f"/svc/{kind}/{n}",
+            state=REGISTERED,
+            template_id=template.template_id,
+            params=merged,
+        )
+        self._descriptors[descriptor.id] = descriptor
+        self._transition(descriptor, RUNNING)
+        return descriptor
 
     # --- lifecycle monitor ----------------------------------------------
 
@@ -379,47 +358,45 @@ class Repository:
         no Running sibling remains."""
         halted: list[str] = []
         resumed: list[str] = []
-        with self._lock:
-            kinds = sorted({d.kind for d in self._descriptors.values()})
-            for kind in kinds:
-                instances = self.of_kind(kind)
-                running = [d for d in instances if d.state == RUNNING]
-                idle = [d for d in instances if d.state == HALTED]
+        kinds = sorted({d.kind for d in self._descriptors.values()})
+        for kind in kinds:
+            instances = self.of_kind(kind)
+            running = [d for d in instances if d.state == RUNNING]
+            idle = [d for d in instances if d.state == HALTED]
 
-                overloaded = sorted(
-                    (d for d in running if d.load_queue_depth > HALT_THRESHOLD),
-                    key=lambda d: (-d.load_queue_depth, d.id),
-                )
-                for d in overloaded:
-                    if len(running) <= 1:
-                        break
-                    self._transition(d, HALTED)
-                    running.remove(d)
-                    idle.append(d)
-                    halted.append(d.id)
+            overloaded = sorted(
+                (d for d in running if d.load_queue_depth > HALT_THRESHOLD),
+                key=lambda d: (-d.load_queue_depth, d.id),
+            )
+            for d in overloaded:
+                if len(running) <= 1:
+                    break
+                self._transition(d, HALTED)
+                running.remove(d)
+                idle.append(d)
+                halted.append(d.id)
 
-                if not idle:
-                    continue
-                resume_floor = HALT_THRESHOLD / 2
-                if not running:
-                    # availability floor: bring one back regardless of load
-                    d = min(idle, key=lambda d: (d.load_queue_depth, d.id))
-                    self._transition(d, RUNNING)
-                    resumed.append(d.id)
-                elif all(d.load_queue_depth < resume_floor for d in running):
-                    # only instances whose own queue has drained come back;
-                    # a just-halted overloaded one stays put until it drains
-                    for d in sorted(idle, key=lambda d: (d.load_queue_depth, d.id)):
-                        if d.load_queue_depth < resume_floor:
-                            self._transition(d, RUNNING)
-                            resumed.append(d.id)
+            if not idle:
+                continue
+            resume_floor = HALT_THRESHOLD / 2
+            if not running:
+                # availability floor: bring one back regardless of load
+                d = min(idle, key=lambda d: (d.load_queue_depth, d.id))
+                self._transition(d, RUNNING)
+                resumed.append(d.id)
+            elif all(d.load_queue_depth < resume_floor for d in running):
+                # only instances whose own queue has drained come back;
+                # a just-halted overloaded one stays put until it drains
+                for d in sorted(idle, key=lambda d: (d.load_queue_depth, d.id)):
+                    if d.load_queue_depth < resume_floor:
+                        self._transition(d, RUNNING)
+                        resumed.append(d.id)
         return {"halted": halted, "resumed": resumed}
 
     # --- execution ------------------------------------------------------
 
     def handler(self, kind: str) -> Handler | None:
-        with self._lock:
-            return self._handlers.get(kind)
+        return self._handlers.get(kind)
 
 
 # --- request evaluation -----------------------------------------------------

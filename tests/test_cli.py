@@ -181,7 +181,12 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
         ),
         ('{"requests": {}}', "requests must be a JSON list, got {}"),
         ('{"faults": ""}', "faults must be a JSON list, got ''"),
-        ('{"requests": [{}]}', "missing key 'tick'"),
+        ('{"requests": [{}]}', "requests[0].tick is missing"),
+        (
+            '{"requests": [{"tick": 1, "user": "alice"}]}',
+            "requests[0].capability is missing",
+        ),
+        ('{"faults": [{"tick": 1}]}', "faults[0].kind is missing"),
         ('{"users": ["alice"]}', "users must be a JSON object"),
         ("[]", "the document must be a JSON object, got []"),
         ('{"requests": [5]}', "requests[0] must be a JSON object, got 5"),

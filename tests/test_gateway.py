@@ -1,15 +1,19 @@
 """HTTP gateway routes against a live hub."""
 
+import ast
 import http.client
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import semhub
 from semhub.gateway import MAX_BODY_BYTES, GatewayServer
 from semhub.hub import Hub, ScenarioConfig
 from semhub.semantic import MAX_BINDINGS, MAX_QUERY_PATTERNS
@@ -199,6 +203,66 @@ def test_query_route(served):
     )
     assert status == 200
     assert doc["count"] == 1
+
+
+def test_hub_calls_from_the_gateway_run_one_at_a_time(served, monkeypatch):
+    hub, base = served
+    guard = threading.Lock()
+    inside = peak = calls = 0
+
+    def counted(call):
+        def wrapper(*args):
+            nonlocal inside, peak, calls
+            with guard:
+                inside += 1
+                calls += 1
+                peak = max(peak, inside)
+            try:
+                time.sleep(0.05)
+                return call(*args)
+            finally:
+                with guard:
+                    inside -= 1
+
+        return wrapper
+
+    monkeypatch.setattr(hub, "submit_request", counted(hub.submit_request))
+    monkeypatch.setattr(hub, "run_query", counted(hub.run_query))
+    query = {
+        "select": ["?vo"],
+        "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]],
+        "graphs": ["urn:sem:graph:vo:smart-office:beacon:alice"],
+    }
+    request = {"capability": "reason.activity", "user": "alice"}
+    posts = [("/requests", request), ("/requests", request), ("/queries", query), ("/queries", query)]
+    start = threading.Barrier(len(posts))
+    statuses = []
+
+    def client(path, doc):
+        start.wait(timeout=10)
+        statuses.append(_post(base + path, doc)[0])
+
+    threads = [threading.Thread(target=client, args=post) for post in posts]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert statuses == [200] * len(posts)
+    assert (calls, peak) == (len(posts), 1)
+
+
+def test_only_the_gateway_imports_threading():
+    """No module but the gateway may take a lock of its own: the gateway's
+    one lock is what serializes hub calls."""
+    importers = []
+    for path in sorted(Path(semhub.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(n.split(".")[0] in ("threading", "_thread") for n in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["gateway.py"]
 
 
 def test_query_route_rejects_malformed(served):

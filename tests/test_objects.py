@@ -10,10 +10,8 @@ from semhub.errors import (
     UnknownSource,
 )
 from semhub.objects import (
-    AssertTriples,
     CompositeVO,
     CVO_CLASS,
-    InvokeService,
     Observation,
     ObjectRegistry,
     PublishMessage,
@@ -292,9 +290,7 @@ def motion_rule(threshold=10, rule_id="r1"):
         id=rule_id,
         condition=(TriplePattern(s, MOTION, v),),
         filters=(Filter(v, ">", integer(threshold)),),
-        action=AssertTriples(
-            ((vocab.user_iri("u"), Iri("urn:t:inState"), Iri("urn:t:state:active")),)
-        ),
+        action=PublishMessage("motion/{?s}", {"count": "{?v}"}),
     )
 
 
@@ -313,21 +309,22 @@ def test_rule_below_threshold_does_not_fire():
     assert registry.evaluate_cvo_rules(cvo.id) == []
 
 
-def test_two_bindings_fire_once_each_one_distinct_triple():
+def test_two_bindings_fire_once_each():
     registry, store = make_registry()
     vo1 = make_vo(registry, "m1")
     vo2 = make_vo(registry, "m2")
     registry.ingest(obs(vo1, 1, 15))
     registry.ingest(obs(vo2, 1, 25))
     cvo = make_cvo(registry, store, [vo1, vo2], [motion_rule(10)])
-    fired = registry.evaluate_cvo_rules(cvo.id)
+    sent = []
+    fired = registry.evaluate_cvo_rules(cvo.id, publisher=lambda t, p: sent.append((t, p)))
     assert len(fired) == 1
     assert len(fired[0].bindings) == 2
-    asserted = [
-        t for t in store.triples(cvo.description_graph)
-        if t.predicate == Iri("urn:t:inState")
+    assert fired[0].action_outcome == "published 2"
+    assert sent == [
+        (f"motion/{vo1.id.value}", {"count": "15"}),
+        (f"motion/{vo2.id.value}", {"count": "25"}),
     ]
-    assert len(asserted) == 1
 
 
 def test_firing_count_matches_standalone_query():
@@ -339,7 +336,7 @@ def test_firing_count_matches_standalone_query():
     registry.ingest(obs(vo2, 1, 40))
     rule = motion_rule(10)
     cvo = make_cvo(registry, store, [vo1, vo2], [rule])
-    fired = registry.evaluate_cvo_rules(cvo.id)
+    fired = registry.evaluate_cvo_rules(cvo.id, publisher=lambda t, p: None)
     q = Query(
         select=list(rule.condition_variables()),
         where=list(rule.condition),
@@ -352,12 +349,13 @@ def test_firing_count_matches_standalone_query():
 def test_rule_with_empty_condition_fires_once():
     registry, store = make_registry()
     vo = make_vo(registry)
-    state = (vocab.user_iri("u"), Iri("urn:t:inState"), Iri("urn:t:state:idle"))
-    cvo = make_cvo(registry, store, [vo], [Rule("always", (), (), AssertTriples((state,)))])
-    [fired] = registry.evaluate_cvo_rules(cvo.id)
+    always = Rule("always", (), (), PublishMessage("state/idle", {"user": "u"}))
+    cvo = make_cvo(registry, store, [vo], [always])
+    sent = []
+    [fired] = registry.evaluate_cvo_rules(cvo.id, publisher=lambda t, p: sent.append((t, p)))
     assert fired.bindings == ({},)
-    assert fired.action_outcome == "asserted 1 new"
-    assert store.contains(cvo.description_graph, Triple(*state))
+    assert fired.action_outcome == "published 1"
+    assert sent == [("state/idle", {"user": "u"})]
 
 
 def test_bindings_in_serialized_order_instantiate_templates():
@@ -367,26 +365,15 @@ def test_bindings_in_serialized_order_instantiate_templates():
     registry.ingest(obs(vo1, 1, 25))
     registry.ingest(obs(vo1, 2, 15))
     registry.ingest(obs(vo2, 1, 40))
-    s, v, saw = Variable("s"), Variable("v"), Iri("urn:t:saw")
-    rule = Rule("saw", (TriplePattern(s, MOTION, v),), (), AssertTriples(((s, saw, v),)))
+    s, v = Variable("s"), Variable("v")
+    rule = Rule("saw", (TriplePattern(s, MOTION, v),), (), PublishMessage("saw/{?s}", {"v": "{?v}"}))
     cvo = make_cvo(registry, store, [vo1, vo2], [rule])
-    [fired] = registry.evaluate_cvo_rules(cvo.id)
+    sent = []
+    [fired] = registry.evaluate_cvo_rules(cvo.id, publisher=lambda t, p: sent.append((t, p)))
     rows = [(b[s], b[v]) for b in fired.bindings]
     assert rows == [(vo1.id, integer(15)), (vo1.id, integer(25)), (vo2.id, integer(40))]
-    assert fired.action_outcome == "asserted 3 new"
-    for row in rows:
-        assert store.contains(cvo.description_graph, Triple(row[0], saw, row[1]))
-
-
-def test_assert_rules_idempotent_on_store():
-    registry, store = make_registry()
-    vo = make_vo(registry)
-    registry.ingest(obs(vo, 1, 50))
-    cvo = make_cvo(registry, store, [vo], [motion_rule(10)])
-    registry.evaluate_cvo_rules(cvo.id)
-    before = sorted(store.triples(cvo.description_graph), key=str)
-    registry.evaluate_cvo_rules(cvo.id)
-    assert sorted(store.triples(cvo.description_graph), key=str) == before
+    assert fired.action_outcome == "published 3"
+    assert sent == [(f"saw/{row[0].value}", {"v": row[1].lexical}) for row in rows]
 
 
 def test_rules_run_in_order_and_failures_do_not_block():
@@ -400,11 +387,21 @@ def test_rules_run_in_order_and_failures_do_not_block():
         filters=(),
         action=PublishMessage("alerts/home", {"value": "{?v}"}),
     )
-    cvo = make_cvo(registry, store, [vo], [publish, motion_rule(10, "assert")])
-    fired = registry.evaluate_cvo_rules(cvo.id)  # no bus attached
-    assert [f.rule_id for f in fired] == ["pub", "assert"]
-    assert not fired[0].ok and "bus" in fired[0].action_outcome
-    assert fired[1].ok
+    cvo = make_cvo(registry, store, [vo], [publish, motion_rule(10, "later")])
+    sent = []
+
+    def publisher(topic, payload):
+        if topic == "alerts/home":
+            raise RuntimeError("topic closed")
+        sent.append((topic, payload))
+
+    fired = registry.evaluate_cvo_rules(cvo.id, publisher=publisher)
+    assert [f.rule_id for f in fired] == ["pub", "later"]
+    assert not fired[0].ok and "topic closed" in fired[0].action_outcome
+    assert fired[1].ok and sent == [(f"motion/{vo.id.value}", {"count": "50"})]
+    unattached = registry.evaluate_cvo_rules(cvo.id)  # no bus attached
+    assert [f.rule_id for f in unattached] == ["pub", "later"]
+    assert all(not f.ok and "bus" in f.action_outcome for f in unattached)
 
 
 def test_publish_payload_substitution():
@@ -430,30 +427,11 @@ def test_an_iri_in_an_action_is_a_term_not_a_template():
     registry.ingest(obs(vo, 1, 42))
     s, v = Variable("s"), Variable("v")
     odd = Iri("urn:t:{?ghost}")  # placeholder text, but an IRI, so never substituted
-    asserts = Rule("a", (TriplePattern(s, MOTION, v),), (), AssertTriples(((s, odd, v),)))
     publish = Rule("p", (TriplePattern(s, MOTION, v),), (), PublishMessage("t", {"iri": odd}))
-    cvo = make_cvo(registry, store, [vo], [asserts, publish])
+    cvo = make_cvo(registry, store, [vo], [publish])
     sent = []
     registry.evaluate_cvo_rules(cvo.id, publisher=lambda t, p: sent.append(p))
-    assert store.contains(cvo.description_graph, Triple(vo.id, odd, integer(42)))
     assert sent == [{"iri": odd}] and type(sent[0]["iri"]) is Iri
-
-
-def test_invoke_service_action():
-    registry, store = make_registry()
-    vo = make_vo(registry)
-    registry.ingest(obs(vo, 1, 42))
-    s, v = Variable("s"), Variable("v")
-    rule = Rule(
-        id="inv",
-        condition=(TriplePattern(s, MOTION, v),),
-        filters=(),
-        action=InvokeService("analytics", {"reading": "{?v}"}),
-    )
-    cvo = make_cvo(registry, store, [vo], [rule])
-    calls = []
-    registry.evaluate_cvo_rules(cvo.id, invoker=lambda k, p: calls.append((k, p)))
-    assert calls == [("analytics", {"reading": "42"})]
 
 
 def test_rule_action_variables_must_be_bound():
@@ -465,7 +443,7 @@ def test_rule_action_variables_must_be_bound():
             id="bad",
             condition=(TriplePattern(s, MOTION, integer(1)),),
             filters=(),
-            action=AssertTriples(((s, Iri("urn:t:p"), Variable("ghost")),)),
+            action=PublishMessage("t/{?ghost}", {}),
         )
     with pytest.raises(ActionFailure):
         Rule(
