@@ -36,6 +36,8 @@ from . import services, vocab
 from .analytics import MINUTE_MS, AnalyticsService, build_location_features, load_analyzer_configs
 from .bus import Broker, Delivery, Message, Topic
 from .errors import (
+    InvalidFilter,
+    MalformedIri,
     MalformedScenario,
     StaleSequence,
     TickOutOfRange,
@@ -194,6 +196,11 @@ class ScenarioConfig:
         if not self.users:
             raise MalformedScenario("users must name at least one user")
         for name, level in sorted(self.users.items()):
+            try:  # the user's IRI and observation topics are built from the name
+                vocab.user_iri(name)
+                Topic.parse(f"obs/{name}")
+            except (InvalidFilter, MalformedIri) as exc:
+                raise MalformedScenario(f"users: {name!r} cannot name a user: {exc}") from None
             if not 0 <= level <= 3:
                 raise MalformedScenario(
                     f"users: level of {name!r} must be within 0..3, got {level}"
@@ -217,94 +224,69 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(doc: Mapping) -> "ScenarioConfig":
-        doc = _object(doc, "the document")
+        doc = _json(doc, "the document", "object")
         return ScenarioConfig(
-            seed=_integer(doc.get("seed", 42), "seed"),
-            duration_ticks=_integer(doc.get("durationTicks", 5000), "durationTicks"),
-            noise_rate=_number(doc.get("noiseRate", 0.1), "noiseRate"),
+            seed=_json(doc.get("seed", 42), "seed", "integer"),
+            duration_ticks=_json(doc.get("durationTicks", 5000), "durationTicks", "integer"),
+            noise_rate=_json(doc.get("noiseRate", 0.1), "noiseRate", "number"),
             users={
-                str(k): _integer(v, f"users: level of {str(k)!r}")
-                for k, v in _object(doc.get("users", {"alice": 3}), "users").items()
+                str(k): _json(v, f"users: level of {str(k)!r}", "integer")
+                for k, v in _json(doc.get("users", {"alice": 3}), "users", "object").items()
             },
-            train_instances=_integer(doc.get("trainInstances", 500), "trainInstances"),
-            holdout=_number(doc.get("holdout", 0.2), "holdout"),
-            cvo_rule_interval=_integer(doc.get("cvoRuleInterval", 10), "cvoRuleInterval"),
-            medical_batch_interval=_integer(
-                doc.get("medicalBatchInterval", 30), "medicalBatchInterval"
+            train_instances=_json(doc.get("trainInstances", 500), "trainInstances", "integer"),
+            holdout=_json(doc.get("holdout", 0.2), "holdout", "number"),
+            cvo_rule_interval=_json(doc.get("cvoRuleInterval", 10), "cvoRuleInterval", "integer"),
+            medical_batch_interval=_json(
+                doc.get("medicalBatchInterval", 30), "medicalBatchInterval", "integer"
             ),
-            monitor_interval=_integer(doc.get("monitorInterval", 5), "monitorInterval"),
+            monitor_interval=_json(doc.get("monitorInterval", 5), "monitorInterval", "integer"),
             requests=tuple(
                 ScriptedRequest(
-                    _required(r, f"requests[{i}]", "tick", _integer),
-                    _required(r, f"requests[{i}]", "capability", _string),
-                    _required(r, f"requests[{i}]", "user", _string),
+                    _required(r, f"requests[{i}]", "tick", "integer"),
+                    _required(r, f"requests[{i}]", "capability", "string"),
+                    _required(r, f"requests[{i}]", "user", "string"),
                 )
                 for i, r in enumerate(_objects(doc.get("requests", []), "requests"))
             ),
             faults=tuple(
                 FaultEvent(
-                    _required(f, f"faults[{i}]", "tick", _integer),
-                    _required(f, f"faults[{i}]", "kind", _string),
-                    _boolean(f.get("removeTemplate", False), f"faults[{i}].removeTemplate"),
+                    _required(f, f"faults[{i}]", "tick", "integer"),
+                    _required(f, f"faults[{i}]", "kind", "string"),
+                    _json(f.get("removeTemplate", False), f"faults[{i}].removeTemplate", "boolean"),
                 )
                 for i, f in enumerate(_objects(doc.get("faults", []), "faults"))
             ),
         )
 
 
-def _required(entry: Mapping, where: str, name: str, check):
-    """`check` applied to a key that a scenario entry must hold; a missing
+_JSON_TYPES = {"integer": int, "number": (int, float), "string": str, "boolean": bool,
+               "object": Mapping, "list": list}
+
+
+def _json(value, key: str, kind: str):
+    """A scenario value that must be the named JSON kind, taken as it is:
+    int() would truncate a float, str() takes any value and bool() reads
+    "false" as true.  A boolean is of no kind but "boolean", and a number
+    reads as a float."""
+    if (isinstance(value, bool) and kind != "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        raise MalformedScenario(f"{key} must be a JSON {kind}, got {value!r}")
+    return float(value) if kind == "number" else value
+
+
+def _required(entry: Mapping, where: str, name: str, kind: str):
+    """A key that a scenario entry must hold, of the JSON kind; a missing
     key is named with its list and index, as in `faults[0].kind`."""
     key = f"{where}.{name}"
     if name not in entry:
         raise MalformedScenario(f"{key} is missing")
-    return check(entry[name], key)
-
-
-def _integer(value, key: str) -> int:
-    """A scenario value that must be a JSON integer: never a float, which
-    int() would truncate, nor a boolean."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedScenario(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    """A scenario value that must be a JSON number, never a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedScenario(f"{key} must be a JSON number, got {value!r}")
-    return float(value)
-
-
-def _string(value, key: str) -> str:
-    """A scenario value that must be a JSON string, never str() of another."""
-    if not isinstance(value, str):
-        raise MalformedScenario(f"{key} must be a JSON string, got {value!r}")
-    return value
-
-
-def _object(value, key: str) -> Mapping:
-    """A scenario value that must be a JSON object: reading keys of another
-    type fails with an error that names no scenario key."""
-    if not isinstance(value, Mapping):
-        raise MalformedScenario(f"{key} must be a JSON object, got {value!r}")
-    return value
+    return _json(entry[name], key, kind)
 
 
 def _objects(value, key: str) -> list:
     """A scenario value that must be a JSON list of JSON objects: iterating
     a string or an object would read an empty one as no events."""
-    if not isinstance(value, list):
-        raise MalformedScenario(f"{key} must be a JSON list, got {value!r}")
-    return [_object(entry, f"{key}[{i}]") for i, entry in enumerate(value)]
-
-
-def _boolean(value, key: str) -> bool:
-    """A scenario value that must be a JSON boolean: bool() reads "false"
-    as true."""
-    if not isinstance(value, bool):
-        raise MalformedScenario(f"{key} must be a JSON boolean, got {value!r}")
-    return value
+    entries = _json(value, key, "list")
+    return [_json(entry, f"{key}[{i}]", "object") for i, entry in enumerate(entries)]
 
 
 def load_scenario(path: str | Path | None = None) -> ScenarioConfig:
@@ -600,9 +582,7 @@ class Hub:
 
     def _apply_fault(self, fault: FaultEvent) -> None:
         if fault.remove_template:
-            template = self.repo.template_for_kind(fault.kind)
-            if template:
-                self.repo.remove_template(template.template_id)
+            self.repo.remove_template(fault.kind)
         for d in self.repo.of_kind(fault.kind):
             if d.state != services.FAILED:
                 self.repo.mark_failed(d.id)

@@ -3,8 +3,9 @@ evaluation and composition-flow orchestration.
 
 Microservices here are in-process actors: a descriptor row in the repository
 plus a handler callable keyed by kind.  The repository is one registry of
-descriptors, templates and handlers, and a flow runs its steps one at a
-time, in topological order, on the caller's thread.  Evaluating a
+descriptors, handlers and templates; a kind's one template says whether the
+kind is a singleton, with at most one live instance.  A flow runs its steps
+one at a time, in topological order, on the caller's thread.  Evaluating a
 capability request keeps no state: it returns a Decision, and the caller
 keeps the only record of the request.
 """
@@ -41,8 +42,6 @@ _LEGAL_EDGES = {
 
 HALT_THRESHOLD = 64
 
-_PARAM_TYPES = {"string": str, "integer": int, "number": (int, float), "boolean": bool}
-
 
 @dataclass
 class MicroserviceDescriptor:
@@ -53,7 +52,6 @@ class MicroserviceDescriptor:
     template_id: str
     load_queue_depth: int = 0
     domain_scope: frozenset[str] = frozenset()
-    params: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -68,18 +66,9 @@ class MicroserviceDescriptor:
 
 
 @dataclass(frozen=True)
-class ParamSpec:
-    name: str
-    type: str
-    default: object = None
-    required: bool = False
-
-
-@dataclass(frozen=True)
 class MicroserviceTemplate:
     template_id: str
     kind: str
-    config_schema: tuple[ParamSpec, ...]
     singleton: bool = False
 
 
@@ -165,8 +154,7 @@ class Repository:
 
     def __init__(self):
         self._descriptors: dict[str, MicroserviceDescriptor] = {}
-        self._templates: dict[str, MicroserviceTemplate] = {}
-        self._templates_by_kind: dict[str, list[str]] = {}
+        self._templates: dict[str, MicroserviceTemplate] = {}  # by kind
         self._handlers: dict[str, Handler] = {}
         self._flows: dict[str, CompositionFlow] = {}
         self._capability_flows: dict[str, str] = {}
@@ -176,20 +164,14 @@ class Repository:
     # --- registration ---------------------------------------------------
 
     def add_template(self, template: MicroserviceTemplate) -> None:
-        self._templates[template.template_id] = template
-        kinds = self._templates_by_kind.setdefault(template.kind, [])
-        if template.template_id not in kinds:
-            kinds.append(template.template_id)
-            kinds.sort()
+        """Install the template of its kind, replacing any earlier one."""
+        self._templates[template.kind] = template
 
-    def remove_template(self, template_id: str) -> None:
-        template = self._templates.pop(template_id, None)
-        if template:
-            self._templates_by_kind.get(template.kind, []).remove(template_id)
+    def remove_template(self, kind: str) -> None:
+        self._templates.pop(kind, None)
 
     def template_for_kind(self, kind: str) -> MicroserviceTemplate | None:
-        ids = self._templates_by_kind.get(kind)
-        return self._templates[ids[0]] if ids else None
+        return self._templates.get(kind)
 
     def register(self, descriptor: MicroserviceDescriptor) -> None:
         """Install a pre-built descriptor (tests, model checks, migration)."""
@@ -289,38 +271,7 @@ class Repository:
 
     # --- instantiation --------------------------------------------------
 
-    def _validate_params(
-        self, template: MicroserviceTemplate, params: Mapping[str, object]
-    ) -> dict:
-        merged: dict[str, object] = {}
-        for spec in template.config_schema:
-            if spec.name in params:
-                value = params[spec.name]
-            elif spec.default is not None or not spec.required:
-                value = spec.default
-            else:
-                raise ParamViolation(
-                    f"template {template.template_id}: missing required "
-                    f"param {spec.name!r}"
-                )
-            expected = _PARAM_TYPES.get(spec.type)
-            if value is not None and expected is not None:
-                if isinstance(value, bool) and spec.type != "boolean":
-                    raise ParamViolation(
-                        f"param {spec.name!r} expects {spec.type}, got boolean"
-                    )
-                if not isinstance(value, expected):
-                    raise ParamViolation(
-                        f"param {spec.name!r} expects {spec.type}, "
-                        f"got {type(value).__name__}"
-                    )
-            merged[spec.name] = value
-        unknown = set(params) - {s.name for s in template.config_schema}
-        if unknown:
-            raise ParamViolation(f"unknown params: {sorted(unknown)}")
-        return merged
-
-    def instantiate(self, kind: str, params: Mapping[str, object] | None = None) -> MicroserviceDescriptor:
+    def instantiate(self, kind: str) -> MicroserviceDescriptor:
         template = self.template_for_kind(kind)
         if template is None:
             raise NoTemplate(f"no template for kind {kind!r}")
@@ -335,7 +286,6 @@ class Repository:
                     f"singleton template {template.template_id} already "
                     f"has live instance {live[0].id}"
                 )
-        merged = self._validate_params(template, params or {})
         n = self._counters.get(kind, 0) + 1
         self._counters[kind] = n
         descriptor = MicroserviceDescriptor(
@@ -344,7 +294,6 @@ class Repository:
             endpoint=f"/svc/{kind}/{n}",
             state=REGISTERED,
             template_id=template.template_id,
-            params=merged,
         )
         self._descriptors[descriptor.id] = descriptor
         self._transition(descriptor, RUNNING)
@@ -484,19 +433,9 @@ def orchestrate(
 # --- config loading ---------------------------------------------------------
 
 def template_from_json(doc: Mapping) -> MicroserviceTemplate:
-    schema = tuple(
-        ParamSpec(
-            name=p["name"],
-            type=p.get("type", "string"),
-            default=p.get("default"),
-            required=bool(p.get("required", "default" not in p)),
-        )
-        for p in doc.get("configSchema", [])
-    )
     return MicroserviceTemplate(
         template_id=doc["templateId"],
         kind=doc["kind"],
-        config_schema=schema,
         singleton=bool(doc.get("singleton", False)),
     )
 

@@ -203,6 +203,9 @@ def test_query_file_rejected_before_run(capsys, monkeypatch, tmp_path, text):
         ('{"holdout": 1.5}', "holdout must be within (0, 1), got 1.5"),
         ('{"users": {}}', "users must name at least one user"),
         ('{"users": {"a": 9}}', "users: level of 'a' must be within 0..3, got 9"),
+        ('{"users": {"al ice": 3}}', "users: 'al ice' cannot name a user"),
+        ('{"users": {"": 3}}', "users: '' cannot name a user"),
+        ('{"users": {"+": 3}}', "users: '+' cannot name a user"),
         ('{"trainInstances": 0}', "trainInstances 0 splits into 0 training and 0 holdout"),
         ('{"trainInstances": 4}', "trainInstances 4 splits into 3 training and 1 holdout"),
         (
@@ -217,6 +220,15 @@ def test_malformed_scenario_rejected(capsys, monkeypatch, tmp_path, text, detail
         cfg.write_text(text, encoding="utf-8")
     err = run_cli_rejected(capsys, monkeypatch, "run", "--config", str(cfg), "--ticks", "50")
     assert detail in err
+
+
+@pytest.mark.parametrize("name", ["a/b", "a+b"])
+def test_user_name_with_slash_or_plus_runs(capsys, tmp_path, name):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"users": {name: 3}}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--ticks", "20")
+    assert code == 0
+    assert json.loads(out)["scenario"]["users"] == {name: 3}
 
 
 @pytest.mark.parametrize("key, tick", [("requests", 10), ("requests", 99999), ("faults", 10)])

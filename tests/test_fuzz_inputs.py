@@ -52,7 +52,7 @@ NEVER = {
     "monitorInterval": NOT_INTEGERS + (0, -3),
     "noiseRate": NOT_NUMBERS + (-0.5, 1.5),
     "holdout": NOT_NUMBERS + (0, 1, 2.5),
-    "users": (None, 5, "alice", [], ["alice"], {}),
+    "users": (None, 5, "alice", [], ["alice"], {}, {"al ice": 3}, {"": 3}, {"+": 3}),
     "level": NOT_INTEGERS + (-1, 4),
     "requests": NOT_LISTS,
     "faults": NOT_LISTS,

@@ -1,10 +1,13 @@
 """Service repository, lifecycle policy, request gating and orchestration."""
 
+import json
 import random
 import threading
+from pathlib import Path
 
 import pytest
 
+from semhub import services
 from semhub.errors import (
     DuplicateId,
     IllegalTransition,
@@ -28,23 +31,18 @@ from semhub.services import (
     FlowStep,
     MicroserviceDescriptor,
     MicroserviceTemplate,
-    ParamSpec,
     Repository,
     evaluate_request,
     load_default_services,
     orchestrate,
 )
 
+SERVICES_DIR = Path(services.__file__).parent / "data" / "services"
+
 
 def make_repo() -> Repository:
     repo = Repository()
-    repo.add_template(
-        MicroserviceTemplate(
-            "tpl-worker",
-            "worker",
-            (ParamSpec("windowMinutes", "integer", 30),),
-        )
-    )
+    repo.add_template(MicroserviceTemplate("tpl-worker", "worker"))
     return repo
 
 
@@ -65,7 +63,6 @@ def test_instantiate_starts_running():
     d = repo.instantiate("worker")
     assert d.state == RUNNING
     assert d.id == "worker-1"
-    assert d.params == {"windowMinutes": 30}
 
 
 def test_instantiate_ids_are_sequential_per_kind():
@@ -80,43 +77,27 @@ def test_instantiate_without_template():
         repo.instantiate("nonexistent")
 
 
-def test_instantiate_param_override_and_type_check():
+def test_second_template_of_a_kind_replaces_the_first():
     repo = make_repo()
-    d = repo.instantiate("worker", {"windowMinutes": 45})
-    assert d.params["windowMinutes"] == 45
-    with pytest.raises(ParamViolation):
-        repo.instantiate("worker", {"windowMinutes": "lots"})
+    repo.add_template(MicroserviceTemplate("tpl-worker-2", "worker", singleton=True))
+    assert repo.template_for_kind("worker").template_id == "tpl-worker-2"
+    assert repo.instantiate("worker").template_id == "tpl-worker-2"
+    with pytest.raises(SingletonExists):
+        repo.instantiate("worker")
 
 
-def test_instantiate_rejects_unknown_param():
+def test_removed_template_cannot_instantiate():
     repo = make_repo()
-    with pytest.raises(ParamViolation):
-        repo.instantiate("worker", {"frobnicate": 1})
-
-
-def test_instantiate_missing_required_param():
-    repo = Repository()
-    repo.add_template(
-        MicroserviceTemplate(
-            "tpl-strict",
-            "strict",
-            (ParamSpec("target", "string", required=True),),
-        )
-    )
-    with pytest.raises(ParamViolation):
-        repo.instantiate("strict")
-    assert repo.instantiate("strict", {"target": "x"}).params == {"target": "x"}
-
-
-def test_boolean_param_not_accepted_as_integer():
-    repo = make_repo()
-    with pytest.raises(ParamViolation):
-        repo.instantiate("worker", {"windowMinutes": True})
+    repo.remove_template("worker")
+    assert repo.template_for_kind("worker") is None
+    with pytest.raises(NoTemplate):
+        repo.instantiate("worker")
+    repo.remove_template("worker")  # removing a kind with no template is a no-op
 
 
 def test_singleton_refuses_second_live_instance():
     repo = Repository()
-    repo.add_template(MicroserviceTemplate("tpl-one", "one", (), singleton=True))
+    repo.add_template(MicroserviceTemplate("tpl-one", "one", singleton=True))
     first = repo.instantiate("one")
     with pytest.raises(SingletonExists):
         repo.instantiate("one")
@@ -354,7 +335,7 @@ MODEL_EVENTS = (
 def _model_repo(config):
     (state_a, depth_a), (state_b, depth_b) = config
     repo = Repository()
-    repo.add_template(MicroserviceTemplate("tpl-m", "m", ()))
+    repo.add_template(MicroserviceTemplate("tpl-m", "m"))
     repo.register(MicroserviceDescriptor("m-a", "m", "/a", state_a, "tpl-m", depth_a))
     repo.register(MicroserviceDescriptor("m-b", "m", "/b", state_b, "tpl-m", depth_b))
     return repo
@@ -428,7 +409,7 @@ def test_exhaustive_six_event_traces_safe():
 
 def gated_repo():
     repo = Repository()
-    repo.add_template(MicroserviceTemplate("tpl-w", "worker", ()))
+    repo.add_template(MicroserviceTemplate("tpl-w", "worker"))
     repo.register_handler("worker", lambda d, p: {"ok": True})
     repo.add_flow(
         CompositionFlow(
@@ -535,7 +516,7 @@ def test_topological_order_respects_dependencies():
 def flow_repo(handlers):
     repo = Repository()
     for kind, handler in handlers.items():
-        repo.add_template(MicroserviceTemplate(f"tpl-{kind}", kind, ()))
+        repo.add_template(MicroserviceTemplate(f"tpl-{kind}", kind))
         repo.instantiate(kind)
         repo.register_handler(kind, handler)
     return repo
@@ -622,7 +603,7 @@ def test_orchestrate_failure_in_one_branch_leaves_other_complete():
 
 def test_orchestrate_auto_instantiates_from_template():
     repo = Repository()
-    repo.add_template(MicroserviceTemplate("tpl-late", "late", ()))
+    repo.add_template(MicroserviceTemplate("tpl-late", "late"))
     repo.register_handler("late", lambda d, p: {"svc": d.id})
     flow = CompositionFlow("f", (FlowStep("s", "late"),))
     assert repo.discover("late") == []
@@ -742,6 +723,9 @@ def test_bundled_services_config_loads():
     assert flow is not None
     assert [s.step_id for s in flow.topological_order()][-1] == "correlate"
     assert repo.template_for_kind("reason.activity") is not None
+    # the repository keys templates by kind, so no two bundled ones may share one
+    kinds = [doc["kind"] for doc in json.loads((SERVICES_DIR / "templates.json").read_text())]
+    assert len(kinds) == len(set(kinds))
 
 
 def test_bundled_mashup_builder_is_singleton():
