@@ -1,11 +1,16 @@
 """The `hub` CLI, invoked in-process for speed."""
 
+import gc
+import http.client
 import json
 import socket
+import threading
+import warnings
 
 import pytest
 
 from semhub.cli import main
+from semhub.gateway import GatewayServer
 from semhub.hub import Hub
 from semhub.semantic import MAX_BINDINGS
 
@@ -388,6 +393,46 @@ def test_serve_port_out_of_range_rejected_before_run(capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --port: must be an integer 0-65535, got '70000'" in err
+
+
+def test_serve_returns_on_keyboard_interrupt(capsys, monkeypatch):
+    """An interrupt while serving stops the gateway, closes the connection
+    it came in on, and `hub serve` returns 0 with nothing left open."""
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(Hub, "services_overview", interrupted)
+    serve = GatewayServer.serve_forever
+    seen, clients = [], []
+
+    def client(server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("GET", "/services")  # interrupts the loop as it answers
+            conn.getresponse()
+        except (OSError, http.client.HTTPException) as exc:
+            seen.append(exc)
+        else:
+            server.stop()  # the interrupt never came: end `hub serve` anyway
+        finally:
+            conn.close()
+
+    def serving(server):
+        clients.append(threading.Thread(target=client, args=(server,)))
+        clients[0].start()
+        serve(server)
+
+    monkeypatch.setattr(GatewayServer, "serve_forever", serving)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["serve", "--port", "0", "--ticks", "0"]) == 0
+        clients[0].join(timeout=10)
+        gc.collect()
+    assert not clients[0].is_alive()
+    assert "hub gateway listening on port" in capsys.readouterr().err
+    assert [type(exc) for exc in seen] == [http.client.RemoteDisconnected]
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_serve_port_in_use_rejected_before_run(capsys, monkeypatch):

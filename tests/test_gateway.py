@@ -1,6 +1,7 @@
 """HTTP gateway routes against a live hub."""
 
 import ast
+import gc
 import http.client
 import json
 import socket
@@ -9,12 +10,13 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+import warnings
 from pathlib import Path
 
 import pytest
 
 import semhub
-from semhub.gateway import MAX_BODY_BYTES, GatewayServer
+from semhub.gateway import MAX_BODY_BYTES, MAX_HEAD_BYTES, GatewayServer
 from semhub.hub import Hub, ScenarioConfig
 from semhub.semantic import MAX_BINDINGS, MAX_QUERY_PATTERNS
 
@@ -252,8 +254,10 @@ def test_hub_calls_from_the_gateway_run_one_at_a_time(served, monkeypatch):
 
 
 def test_only_the_gateway_imports_threading():
-    """No module but the gateway may take a lock of its own: the gateway's
-    one lock is what serializes hub calls."""
+    """No module takes a lock: the gateway's one serving loop makes every
+    hub call, so they run one at a time, and the gateway imports threading
+    only for `start()` to serve on a background thread and for `stop()` to
+    wait until the loop has closed everything."""
     importers = []
     for path in sorted(Path(semhub.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -339,9 +343,13 @@ def _post_raw(base, content_length, body=b"", end_body=False):
         )
         if end_body:
             sock.shutdown(socket.SHUT_WR)
-        resp = http.client.HTTPResponse(sock)
-        resp.begin()
-        return resp.status, json.loads(resp.read().decode("utf-8"))
+        return _answer(sock)
+
+
+def _answer(sock):
+    resp = http.client.HTTPResponse(sock)
+    resp.begin()
+    return resp.status, json.loads(resp.read().decode("utf-8"))
 
 
 def _assert_query_served(base):
@@ -368,6 +376,16 @@ def test_request_body_length_is_bounded(served, content_length, status, detail):
     got, doc = _post_raw(base, content_length)
     assert got == status
     assert detail in doc["error"]
+    _assert_query_served(base)
+
+
+def test_content_length_too_long_to_parse_is_413(served):
+    """int() refuses thousands of digits; the loop and the handler both
+    refuse the value by its length first, and serving goes on."""
+    _, base = served
+    got, doc = _post_raw(base, "9" * 5000)
+    assert got == 413
+    assert doc["error"] == f"a Content-Length of 5000 digits exceeds the {MAX_BODY_BYTES}-byte limit"
     _assert_query_served(base)
 
 
@@ -426,3 +444,207 @@ def test_unknown_route_is_404(served):
     _, base = served
     status, doc = _get(base + "/nothing/here")
     assert status == 404
+
+
+BEACONS = b'{"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]}'
+QUERY = b"POST /queries HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n%b" % (len(BEACONS), BEACONS)
+
+
+def test_connections_past_the_cap_are_refused(served, monkeypatch):
+    monkeypatch.setattr("semhub.gateway.MAX_CONNECTIONS", 2)
+    server = GatewayServer(served[0]).start()
+    address = ("127.0.0.1", server.port)
+    try:
+        with socket.create_connection(address, timeout=10) as first, socket.create_connection(address, timeout=10):
+            with socket.create_connection(address, timeout=10) as third:
+                assert _answer(third) == (503, {"error": "the gateway already holds 2 connections"})
+            # the connections within the cap are still served
+            first.sendall(QUERY)
+            status, doc = _answer(first)
+            assert status == 200 and doc["count"] >= 1
+        # and closed ones free their places
+        _assert_query_served(f"http://127.0.0.1:{server.port}")
+    finally:
+        server.stop()
+
+
+def test_trickled_head_is_closed_at_the_deadline(served, monkeypatch):
+    monkeypatch.setattr("semhub.gateway.SOCKET_TIMEOUT_S", 0.3)
+    server = GatewayServer(served[0]).start()
+    answer = b""
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=0.1) as sock:
+            started = time.monotonic()
+            for byte in QUERY:  # one byte every 0.1 s, as long as the server listens
+                try:
+                    sock.sendall(bytes([byte]))
+                    chunk = sock.recv(4096)
+                except TimeoutError:
+                    continue
+                except ConnectionError:
+                    break
+                if not chunk:
+                    break
+                answer += chunk
+            elapsed = time.monotonic() - started
+    finally:
+        server.stop()
+    assert elapsed < 1  # the whole head, not each byte, had 0.3 s
+    # the answer may be lost to a reset when a byte crosses the close
+    assert not answer or answer.startswith(b"HTTP/1.0 408 "), answer
+
+
+def test_stalled_clients_do_not_hold_up_others(served, monkeypatch):
+    """A client that sends nothing, and two that never read their answers,
+    do not delay a query: one answer fits the socket buffers, the other, cut
+    down by small buffers, waits on the loop until its write deadline."""
+    monkeypatch.setattr("semhub.gateway.SOCKET_TIMEOUT_S", 0.5)
+    create_server = socket.create_server
+
+    def small_send_buffers(*args, **kwargs):
+        listener = create_server(*args, **kwargs)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)  # accepted sockets inherit it
+        return listener
+
+    monkeypatch.setattr(socket, "create_server", small_send_buffers)
+    server = GatewayServer(served[0]).start()
+    address = ("127.0.0.1", server.port)
+    everything = json.dumps({"select": ["?s", "?p", "?o"], "where": [["?s", "?p", "?o"]]}).encode("utf-8")
+    try:
+        with socket.create_connection(address, timeout=10), \
+                socket.create_connection(address, timeout=10) as report, \
+                socket.socket() as large:
+            report.sendall(b"GET /report HTTP/1.0\r\n\r\n")
+            large.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            large.settimeout(10)
+            large.connect(address)
+            large.sendall(b"POST /queries HTTP/1.0\r\nContent-Length: %d\r\n\r\n%b" % (len(everything), everything))
+            time.sleep(0.1)  # let the loop take these in first
+            started = time.monotonic()
+            _assert_query_served(f"http://127.0.0.1:{server.port}")
+            assert time.monotonic() - started < 1
+            time.sleep(1)  # past the large answer's write deadline
+            received = b""
+            while chunk := large.recv(1 << 16):
+                received += chunk
+        full = json.dumps(served[0].run_query(json.loads(everything)), sort_keys=True).encode("utf-8")
+        assert received.startswith(b"HTTP/1.0 200 ") and len(received) < len(full)
+    finally:
+        server.stop()
+
+
+def test_oversized_head_is_431(served):
+    _, base = served
+    port = urllib.parse.urlsplit(base).port
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        head = b"GET /report HTTP/1.1\r\nX-Padding: "
+        sock.sendall(head + b"a" * (MAX_HEAD_BYTES + 1 - len(head)))
+        assert _answer(sock) == (431, {"error": f"request head exceeds {MAX_HEAD_BYTES} bytes"})
+    _assert_query_served(base)
+
+
+def test_a_failing_route_is_500_and_serving_goes_on(served, monkeypatch, capsys):
+    hub, base = served
+
+    def broken():
+        raise RuntimeError("report broke")
+
+    monkeypatch.setattr(hub, "report", broken)
+    assert _get(base + "/report") == (500, {"error": "internal error"})
+    assert "RuntimeError: report broke" in capsys.readouterr().err
+    _assert_query_served(base)
+
+
+def test_stop_closes_the_listener_and_every_connection(served):
+    server = GatewayServer(served[0]).start()
+    address = ("127.0.0.1", server.port)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with socket.create_connection(address, timeout=5) as idle, \
+                socket.create_connection(address, timeout=5) as partial:
+            partial.sendall(QUERY[:40])
+            # served after the two, so both are open on the server's side
+            _assert_query_served(f"http://127.0.0.1:{server.port}")
+            server.stop()
+            assert idle.recv(1) == b"" and partial.recv(1) == b""
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5).close()
+        del server
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_stop_waits_for_a_loop_on_another_thread(served, monkeypatch):
+    """`stop()` from a second thread, while a loop that `start()` did not
+    make runs a route, closes nothing under it: the route's answer goes out,
+    then the loop closes everything and returns without an error."""
+    hub = served[0]
+    entered, release = threading.Event(), threading.Event()
+
+    def slow_services():
+        entered.set()
+        release.wait(10)
+        return []
+
+    monkeypatch.setattr(hub, "services_overview", slow_services)
+    server = GatewayServer(hub)
+    errors = []
+
+    def serve():
+        try:
+            server.serve_forever()
+        except BaseException as exc:  # noqa: BLE001 - any escape is the failure
+            errors.append(exc)
+
+    loop = threading.Thread(target=serve)
+    loop.start()
+    try:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall(b"GET /services HTTP/1.0\r\n\r\n")
+            assert entered.wait(10)
+            stopper = threading.Thread(target=server.stop)
+            stopper.start()
+            stopper.join(0.2)
+            assert stopper.is_alive()  # waiting for the route
+            release.set()
+            stopper.join(10)
+            assert _answer(sock) == (200, [])
+    finally:
+        release.set()
+        server.stop()
+        loop.join(10)
+    assert not stopper.is_alive() and not loop.is_alive()
+    assert errors == []
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=5).close()
+
+
+def test_failing_accept_does_not_spin(served, monkeypatch):
+    """While accept fails for want of descriptors, the loop stops watching
+    the listener for a while instead of retrying at once, then serves."""
+    create_server = socket.create_server
+    calls = []
+
+    class OutOfDescriptors:
+        def __init__(self, listener):
+            self._listener = listener
+            self._until = time.monotonic() + 0.3
+
+        def __getattr__(self, name):
+            return getattr(self._listener, name)
+
+        def accept(self):
+            calls.append(None)
+            if time.monotonic() < self._until:
+                raise OSError(24, "Too many open files")
+            return self._listener.accept()
+
+    monkeypatch.setattr(socket, "create_server", lambda *a, **kw: OutOfDescriptors(create_server(*a, **kw)))
+    server = GatewayServer(served[0]).start()
+    try:
+        started = time.monotonic()
+        _assert_query_served(f"http://127.0.0.1:{server.port}")
+        assert time.monotonic() - started < 1
+    finally:
+        server.stop()
+    assert len(calls) < 20  # a retry every ACCEPT_RETRY_S, not thousands
