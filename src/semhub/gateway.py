@@ -10,19 +10,34 @@ Routes:
 
 The server binds a running `Hub`; it never drives the tick loop itself.
 
+Every answer, refusals included, is an HTTP/1.0 JSON document, a refusal
+`{"error": message}`:
+    200  the route's answer
+    400  a request line that is not `METHOD SP target SP HTTP/1.0|1.1`, a
+         bad `Content-Length`, a body that ends before it, a body that is
+         not a JSON object, or a request or query the hub refuses
+    404  no such route, or no such object
+    408  the head or body did not arrive within `SOCKET_TIMEOUT_S`
+    413  a `Content-Length` over `MAX_BODY_BYTES`
+    431  a head over `MAX_HEAD_BYTES`, or with more than 99 header fields
+    500  a route failed; its traceback goes to stderr
+    501  a method other than GET and POST
+    503  `MAX_CONNECTIONS` are already open
+
 Serving: one `selectors` loop on the serving thread accepts connections
-without blocking and reads each request into a buffer of its own.  Once the
-head and the `Content-Length` body it announces have arrived, the loop runs
-the handler on the buffered bytes and writes the answer without blocking,
-then closes the connection.  So every hub call is made by that one thread,
-one at a time, and no lock is needed.  Each connection has one deadline,
-`SOCKET_TIMEOUT_S` from accept, for its whole head and body, and a new one
-for the write of its answer; at most `MAX_CONNECTIONS` are open at once.
-When the loop ends, by `stop()` or by an exception, it closes the listener
-and every connection itself, so nothing is closed under a running route.
-`Hub.run` takes no lock, so nothing may serve while the loop ticks: `hub
-serve` starts serving only after `run()` returns, and a caller that serves
-from inside a tick keeps the loop paused until the server has stopped.
+without blocking and reads each request into a buffer of its own.  The loop
+parses the head once, as soon as it has arrived, waits for the
+`Content-Length` body it announces, runs the route and writes the answer
+without blocking, then closes the connection.  So every hub call is made by
+that one thread, one at a time, and no lock is needed.  Each connection has
+one deadline, `SOCKET_TIMEOUT_S` from accept, for its whole head and body,
+and a new one for the write of its answer; at most `MAX_CONNECTIONS` are
+open at once.  When the loop ends, by `stop()` or by an exception, it
+closes the listener and every connection itself, so nothing is closed
+under a running route.  `Hub.run` takes no lock, so nothing may serve while
+the loop ticks: `hub serve` starts serving only after `run()` returns, and
+a caller that serves from inside a tick keeps the loop paused until the
+server has stopped.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ import socket
 import threading
 import traceback
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler
+from http.client import HTTPException, parse_headers
 from time import monotonic
 from urllib.parse import unquote
 
@@ -50,29 +65,14 @@ ACCEPT_RETRY_S = 0.1  # pause after accept fails other than for want of a client
 
 _MAX_LENGTH_DIGITS = 20  # of a Content-Length; int() refuses to parse thousands
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
-_CONTENT_LENGTH = re.compile(rb"\ncontent-length:[ \t]*([^\r\n]*)", re.IGNORECASE)
+_REQUEST_LINE = re.compile(r"(\S+) (\S+) HTTP/1\.[01]")  # RFC 9112 section 3
 
 
-def _request_size(buf: bytearray, start: int) -> int | None:
-    """Bytes the request in `buf` fills: its head plus the body its
-    Content-Length announces, or 0 when that value is bad or oversized, so
-    the handler refuses it at once; None while the head, which does not end
-    before `start`, is still arriving."""
-    end = _HEAD_END.search(buf, start)
-    if end is None:
-        return None
-    length = _CONTENT_LENGTH.search(buf, 0, end.end())
-    value = length[1] if length else b"0"
-    if not value.isdigit() or len(value) > _MAX_LENGTH_DIGITS or int(value) > MAX_BODY_BYTES:
-        return 0
-    return end.end() + int(value)
-
-
-def _error(code: int, message: str) -> bytes:
-    """A whole answer carrying `{"error": message}`, for the loop to send."""
-    body = json.dumps({"error": message}).encode("utf-8")
+def _answer(status: int, doc) -> bytes:
+    """The whole answer that carries `doc`, for the loop to send."""
+    body = json.dumps(doc, sort_keys=True).encode("utf-8")
     head = (
-        f"HTTP/1.0 {code} {HTTPStatus(code).phrase}\r\nContent-Type: application/json\r\n"
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nContent-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n\r\n"
     )
     return head.encode("ascii") + body
@@ -81,122 +81,113 @@ def _error(code: int, message: str) -> bytes:
 class _Conn:
     """One accepted connection: its request bytes, then its answer's."""
 
-    __slots__ = ("sock", "addr", "buf", "need", "out", "deadline")
+    __slots__ = ("sock", "buf", "handler", "out", "deadline")
 
-    def __init__(self, sock: socket.socket, addr, deadline: float):
+    def __init__(self, sock: socket.socket, deadline: float):
         self.sock = sock
-        self.addr = addr
-        self.buf = bytearray()
-        self.need: int | None = None  # the request's size, once its head is in
+        self.buf = bytearray()  # the head, then, once it is parsed, the body
+        self.handler: _Handler | None = None  # the parsed head
         self.out: memoryview | None = None  # the answer left to send
         self.deadline = deadline
 
 
-class _BodyRefused(Exception):
-    """A body the handler will not read, answered with `status`."""
+class _Refused(Exception):
+    """A request answered with `status` and no route run."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Answers one request, read from its buffered bytes (`request`) into
-    an in-memory `wfile` that the serving loop then sends."""
+class _Handler:
+    """One request, parsed once from its head: `method`, the decoded target
+    (`path`), `headers` and the body's `length`.  The loop sets `body` once
+    it is in and runs `do_GET` or `do_POST`, which return (status, doc).
+    `bench/tracing.py` wraps `do_POST` and reads `headers.get`."""
 
-    hub: Hub  # bound per-server via a subclass attribute
-
-    def setup(self):
-        self.rfile, self.wfile = self.request, io.BytesIO()
-
-    def finish(self):
-        pass  # the loop reads the answer out of `wfile`
-
-    # keep test output quiet
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _send(self, code: int, doc) -> None:
-        body = json.dumps(doc, sort_keys=True).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def __init__(self, hub: Hub, head: bytes):
+        if len(head) > MAX_HEAD_BYTES:
+            raise _Refused(431, f"request head exceeds {MAX_HEAD_BYTES} bytes")
+        line, _, fields = head.partition(b"\n")
+        line = line.rstrip(b"\r").decode("iso-8859-1")
+        request = _REQUEST_LINE.fullmatch(line)
+        if request is None:
+            raise _Refused(400, f"bad request line {line!r}")
+        self.method, target = request.groups()
+        if self.method not in ("GET", "POST"):
+            raise _Refused(501, f"method {self.method} is not supported")
+        self.path = unquote(target)
+        try:
+            self.headers = parse_headers(io.BytesIO(fields))
+        except HTTPException:  # the stdlib caps a head at 100 lines, its blank one included
+            raise _Refused(431, "request head holds more than 99 header fields") from None
+        length = self.headers.get("Content-Length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _Refused(400, f"Content-Length must be a non-negative integer, got {length!r}")
+        if len(length) > _MAX_LENGTH_DIGITS:
+            raise _Refused(413, f"a Content-Length of {len(length)} digits exceeds the {MAX_BODY_BYTES}-byte limit")
+        self.length = int(length)
+        if self.length > MAX_BODY_BYTES:
+            raise _Refused(413, f"body of {self.length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+        self.hub = hub
 
     def _read_body(self) -> dict:
-        header = self.headers.get("Content-Length") or "0"
-        if not (header.isascii() and header.isdigit()):
-            raise ValueError(f"Content-Length must be a non-negative integer, got {header!r}")
-        if len(header) > _MAX_LENGTH_DIGITS:
-            raise _BodyRefused(413, f"a Content-Length of {len(header)} digits exceeds the {MAX_BODY_BYTES}-byte limit")
-        length = int(header)
-        if length > MAX_BODY_BYTES:
-            raise _BodyRefused(413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
-        raw = self.rfile.read(length) if length else b""
-        if len(raw) < length:
-            raise ValueError(f"body ended after {len(raw)} of the {length} bytes in Content-Length")
-        if not raw:
+        if len(self.body) < self.length:
+            raise ValueError(f"body ended after {len(self.body)} of the {self.length} bytes in Content-Length")
+        if not self.body:
             return {}
         try:
-            doc = json.loads(raw.decode("utf-8"))
+            doc = json.loads(self.body.decode("utf-8"))
         except RecursionError:
             raise ValueError("body is nested too deeply to decode") from None
         if not isinstance(doc, dict):
             raise ValueError("request body must be a JSON object")
         return doc
 
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        path = unquote(self.path)
-        if path == "/report":
-            return self._send(200, self.hub.report())
-        if path == "/objects":
-            return self._send(200, self.hub.objects_overview())
-        if path.startswith("/objects/"):
-            iri = path[len("/objects/"):]
+    def do_GET(self):  # noqa: N802 - the stdlib handler's names
+        if self.path == "/report":
+            return 200, self.hub.report()
+        if self.path == "/objects":
+            return 200, self.hub.objects_overview()
+        if self.path.startswith("/objects/"):
+            iri = self.path[len("/objects/"):]
             try:
                 detail = self.hub.object_detail(iri)
             except MalformedIri as exc:
-                return self._send(400, {"error": str(exc)})
+                return 400, {"error": str(exc)}
             if detail is None:
-                return self._send(404, {"error": f"unknown object {iri}"})
-            return self._send(200, detail)
-        if path == "/services":
-            return self._send(200, self.hub.services_overview())
-        self._send(404, {"error": f"no route {path}"})
+                return 404, {"error": f"unknown object {iri}"}
+            return 200, detail
+        if self.path == "/services":
+            return 200, self.hub.services_overview()
+        return 404, {"error": f"no route {self.path}"}
 
-    def do_POST(self):  # noqa: N802 - stdlib naming
+    def do_POST(self):  # noqa: N802 - the stdlib handler's names
         try:
             doc = self._read_body()
-        except _BodyRefused as exc:
-            return self._send(exc.status, {"error": str(exc)})
         except ValueError as exc:  # also malformed JSON and UTF-8
-            return self._send(400, {"error": str(exc)})
+            return 400, {"error": str(exc)}
         if self.path == "/requests":
             capability = doc.get("capability")
             user = doc.get("user")
             if not capability or not user:
-                return self._send(400, {"error": "capability and user are required"})
+                return 400, {"error": "capability and user are required"}
             for key, value in (("capability", capability), ("user", user)):
                 if type(value) is not str:  # str() would make any value a name
-                    error = f"{key} must be a JSON string, got {json.dumps(value)}"
-                    return self._send(400, {"error": error})
+                    return 400, {"error": f"{key} must be a JSON string, got {json.dumps(value)}"}
             tick = doc.get("tick")
             if tick is not None and type(tick) is not int:  # bool is an int subclass
-                error = f"tick must be a JSON integer, got {json.dumps(tick)}"
-                return self._send(400, {"error": error})
+                return 400, {"error": f"tick must be a JSON integer, got {json.dumps(tick)}"}
             try:
-                record = self.hub.submit_request(capability, user, tick)
+                return 200, self.hub.submit_request(capability, user, tick)
             except TickOutOfRange as exc:
-                return self._send(400, {"error": str(exc)})
-            return self._send(200, record)
+                return 400, {"error": str(exc)}
         if self.path == "/queries":
             try:
-                answer = self.hub.run_query(doc)
+                return 200, self.hub.run_query(doc)
             except (HubError, KeyError, ValueError) as exc:
-                return self._send(400, {"error": str(exc)})
-            return self._send(200, answer)
-        self._send(404, {"error": f"no route {self.path}"})
+                return 400, {"error": str(exc)}
+        return 404, {"error": f"no route {self.path}"}
 
 
 class GatewayServer:
@@ -206,7 +197,7 @@ class GatewayServer:
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         self.port: int = self._listener.getsockname()[1]
-        self._handler = type("_BoundHandler", (_Handler,), {"hub": hub})
+        self._hub = hub
         self._wake, self._woken = socket.socketpair()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
@@ -272,7 +263,7 @@ class GatewayServer:
     def _accept(self) -> None:
         while True:
             try:
-                sock, addr = self._listener.accept()
+                sock, _ = self._listener.accept()
             except BlockingIOError:  # none left
                 return
             except OSError:  # none to be had, e.g. out of descriptors: retry later, not at once
@@ -283,11 +274,11 @@ class GatewayServer:
             if len(self._conns) >= MAX_CONNECTIONS:
                 with sock:
                     try:
-                        sock.send(_error(503, f"the gateway already holds {MAX_CONNECTIONS} connections"))
+                        sock.send(_answer(503, {"error": f"the gateway already holds {MAX_CONNECTIONS} connections"}))
                     except OSError:
                         pass
                 continue
-            conn = _Conn(sock, addr, monotonic() + SOCKET_TIMEOUT_S)
+            conn = _Conn(sock, monotonic() + SOCKET_TIMEOUT_S)
             self._conns.add(conn)
             self._selector.register(sock, selectors.EVENT_READ, conn)
 
@@ -299,32 +290,40 @@ class GatewayServer:
         except OSError:
             return self._close(conn)
         conn.buf += data
-        if conn.need is None:
-            conn.need = _request_size(conn.buf, max(len(conn.buf) - len(data) - 3, 0))
-        if not data or (conn.need is not None and len(conn.buf) >= conn.need):
-            self._serve(conn)  # at EOF, whatever came
-        elif conn.need is None and len(conn.buf) > MAX_HEAD_BYTES:
-            self._reply(conn, _error(431, f"request head exceeds {MAX_HEAD_BYTES} bytes"))
+        if conn.handler is None:
+            end = _HEAD_END.search(conn.buf, max(len(conn.buf) - len(data) - 3, 0))
+            if end is None and data and len(conn.buf) <= MAX_HEAD_BYTES:
+                return  # the head is still arriving
+            if not conn.buf:  # closed before asking anything
+                return self._close(conn)
+            head = end.end() if end else len(conn.buf)  # at EOF, whatever came
+            try:
+                conn.handler = _Handler(self._hub, bytes(conn.buf[:head]))
+            except _Refused as exc:
+                return self._reply(conn, _answer(exc.status, {"error": str(exc)}))
+            del conn.buf[:head]
+        if data and len(conn.buf) < conn.handler.length:
+            return  # the body is still arriving
+        self._serve(conn)
 
     def _expire(self, conn: _Conn) -> None:
         if conn.out is not None:  # the client is not taking its answer
             self._close(conn)
-        elif conn.need is not None:  # the head came, the body stalled
-            self._reply(conn, _error(408, f"body not received within {SOCKET_TIMEOUT_S} s"))
-        else:
-            self._reply(conn, _error(408, f"request head not received within {SOCKET_TIMEOUT_S} s"))
+        else:  # the head, or the body after it, stalled
+            part = "request head" if conn.handler is None else "body"
+            self._reply(conn, _answer(408, {"error": f"{part} not received within {SOCKET_TIMEOUT_S} s"}))
 
     def _serve(self, conn: _Conn) -> None:
+        handler = conn.handler
+        handler.body = bytes(conn.buf[:handler.length])
         try:
-            answer = self._handler(io.BytesIO(conn.buf), conn.addr, self).wfile.getvalue()
+            answer = _answer(*(handler.do_POST() if handler.method == "POST" else handler.do_GET()))
         except Exception:  # a bug in a route: report it and keep serving the rest
             traceback.print_exc()
-            answer = _error(500, "internal error")
+            answer = _answer(500, {"error": "internal error"})
         self._reply(conn, answer)
 
     def _reply(self, conn: _Conn, answer: bytes) -> None:
-        if not answer:  # nothing was asked
-            return self._close(conn)
         conn.out = memoryview(answer)
         conn.deadline = monotonic() + SOCKET_TIMEOUT_S
         self._write(conn)

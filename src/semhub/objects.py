@@ -227,8 +227,8 @@ class ObjectRegistry:
     Each VO's window keeps reference counts on the triples its observations
     wrote: an evicted observation's triple leaves the data graph only when
     no retained observation wrote it too, and neither ingest nor eviction
-    scans the window.  The registry takes no lock: the gateway serializes
-    the calls that reach it from more than one thread.
+    scans the window.  The registry takes no lock: the gateway makes every
+    call that reaches it from its one serving thread.
     """
 
     def __init__(

@@ -779,8 +779,8 @@ class GraphStore:
     snapshot that covers the graph and dropped by any write to it, so a
     graph is re-indexed only after it changed.  Snapshots share the cached
     indexes, which are never mutated: a snapshot taken before a write keeps
-    what it held.  The store takes no lock; the gateway serializes the
-    calls that reach it from more than one thread.
+    what it held.  The store takes no lock; the gateway makes every call
+    that reaches it from its one serving thread.
     """
 
     def __init__(self):

@@ -446,6 +446,41 @@ def test_unknown_route_is_404(served):
     assert status == 404
 
 
+def test_request_target_is_percent_decoded_for_every_method(served):
+    _, base = served
+    status, doc = _get(base + "/%72eport")
+    assert status == 200 and doc["scenario"]["durationTicks"] == 60
+    query = {"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]}
+    status, doc = _post(base + "/%71ueries", query)
+    assert status == 200 and doc["count"] >= 1
+
+
+FIELDS = b"".join(b"X-Field-%d: a\r\n" % i for i in range(101))
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status, error",
+    [
+        (b"garbage\r\n\r\n", 400, "bad request line 'garbage'"),
+        (b"GET /report HTTP/9.9\r\n\r\n", 400, "bad request line 'GET /report HTTP/9.9'"),
+        (b"PUT /report HTTP/1.0\r\n\r\n", 501, "method PUT is not supported"),
+        (b"GET /services HTTP/1.0\r\n" + FIELDS + b"\r\n", 431, "request head holds more than 99 header fields"),
+    ],
+    ids=["garbage", "version-9.9", "put", "101-fields"],
+)
+def test_refused_requests_are_answered_as_json(served, request_bytes, status, error):
+    _, base = served
+    port = urllib.parse.urlsplit(base).port
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request_bytes)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert resp.status == status
+        assert resp.getheader("Content-Type") == "application/json"
+        assert json.loads(resp.read().decode("utf-8")) == {"error": error}
+    _assert_query_served(base)
+
+
 BEACONS = b'{"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]}'
 QUERY = b"POST /queries HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: %d\r\n\r\n%b" % (len(BEACONS), BEACONS)
 
@@ -552,6 +587,14 @@ def test_a_failing_route_is_500_and_serving_goes_on(served, monkeypatch, capsys)
     monkeypatch.setattr(hub, "report", broken)
     assert _get(base + "/report") == (500, {"error": "internal error"})
     assert "RuntimeError: report broke" in capsys.readouterr().err
+    _assert_query_served(base)
+
+
+def test_an_answer_that_is_not_json_is_500_and_serving_goes_on(served, monkeypatch, capsys):
+    hub, base = served
+    monkeypatch.setattr(hub, "services_overview", lambda: [object()])
+    assert _get(base + "/services") == (500, {"error": "internal error"})
+    assert "is not JSON serializable" in capsys.readouterr().err
     _assert_query_served(base)
 
 
