@@ -28,7 +28,9 @@ Serving: one `selectors` loop on the serving thread accepts connections
 without blocking and reads each request into a buffer of its own.  The loop
 parses the head once, as soon as it has arrived, waits for the
 `Content-Length` body it announces, runs the route and writes the answer
-without blocking, then closes the connection.  So every hub call is made by
+without blocking, then closes the connection.  An HTTP/1.1 head with
+`Expect: 100-continue` whose body has not come with it is answered
+`HTTP/1.1 100 Continue` first, so the client sends the body at once.  So every hub call is made by
 that one thread, one at a time, and no lock is needed.  Each connection has
 one deadline, `SOCKET_TIMEOUT_S` from accept, for its whole head and body,
 and a new one for the write of its answer; at most `MAX_CONNECTIONS` are
@@ -65,7 +67,8 @@ ACCEPT_RETRY_S = 0.1  # pause after accept fails other than for want of a client
 
 _MAX_LENGTH_DIGITS = 20  # of a Content-Length; int() refuses to parse thousands
 _HEAD_END = re.compile(rb"\r?\n\r?\n")
-_REQUEST_LINE = re.compile(r"(\S+) (\S+) HTTP/1\.[01]")  # RFC 9112 section 3
+_REQUEST_LINE = re.compile(r"(\S+) (\S+) HTTP/1\.([01])")  # RFC 9112 section 3
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"  # RFC 9110 section 15.2.1
 
 
 def _answer(status: int, doc) -> bytes:
@@ -113,7 +116,7 @@ class _Handler:
         request = _REQUEST_LINE.fullmatch(line)
         if request is None:
             raise _Refused(400, f"bad request line {line!r}")
-        self.method, target = request.groups()
+        self.method, target, minor = request.groups()
         if self.method not in ("GET", "POST"):
             raise _Refused(501, f"method {self.method} is not supported")
         self.path = unquote(target)
@@ -129,6 +132,9 @@ class _Handler:
         self.length = int(length)
         if self.length > MAX_BODY_BYTES:
             raise _Refused(413, f"body of {self.length} bytes exceeds the {MAX_BODY_BYTES}-byte limit")
+        # RFC 9110 section 10.1.1: an HTTP/1.0 client's expectation is ignored
+        expect = self.headers.get("Expect", "")
+        self.expects_continue = minor == "1" and expect.strip().lower() == "100-continue"
         self.hub = hub
 
     def _read_body(self) -> dict:
@@ -302,6 +308,11 @@ class GatewayServer:
             except _Refused as exc:
                 return self._reply(conn, _answer(exc.status, {"error": str(exc)}))
             del conn.buf[:head]
+            if data and len(conn.buf) < conn.handler.length and conn.handler.expects_continue:
+                try:  # into an empty send buffer, so sent whole or not at all
+                    conn.sock.send(_CONTINUE)
+                except OSError:  # a hint: the client sends its body after its own wait
+                    pass
         if data and len(conn.buf) < conn.handler.length:
             return  # the body is still arriving
         self._serve(conn)

@@ -52,7 +52,6 @@ from .objects import (
     CVO_CLASS,
     CompositeVO,
     ObjectRegistry,
-    Observation,
     PublishMessage,
     Rule,
     UserModel,
@@ -354,7 +353,6 @@ class Hub:
             for domain in self._domain_order
         }
         self._user_models: dict[str, UserModel] = {}
-        self._vo_index: dict[tuple[str, str, str], Iri] = {}
         self._vo_topic: dict[Iri, Topic] = {}  # where each VO's observations are published
         self._vo_class: dict[Iri, str] = {}
         self._class_domains: dict[str, set[str]] = {}
@@ -426,7 +424,7 @@ class Hub:
                 prop, unit, cls = SENSORS[domain][sensor]
                 for name in sorted(self.config.users):
                     vo = VirtualObject(
-                        id=Iri(f"urn:sem:vo:{domain}:{sensor}:{name}"),
+                        id=vocab.vo_iri(domain, sensor, name),
                         domain=domain,
                         kind="sensor",
                         description_graph=vocab.graph_iri(f"vo:{domain}:{sensor}:{name}"),
@@ -441,7 +439,6 @@ class Hub:
                         ),
                     )
                     self.registry.register_vo(vo)
-                    self._vo_index[(domain, sensor, name)] = vo.id
                     self._vo_topic[vo.id] = Topic.parse(f"obs/{domain}/{sensor}/{name}")
                     self._vo_class[vo.id] = cls
                     self._class_domains.setdefault(cls, set()).add(domain)
@@ -453,8 +450,8 @@ class Hub:
         self._add_cvo(
             "home-comfort",
             (
-                self._vo_index[(SMART_HOME, "motion", first)],
-                self._vo_index[(SMART_HOME, "luminosity", first)],
+                vocab.vo_iri(SMART_HOME, "motion", first),
+                vocab.vo_iri(SMART_HOME, "luminosity", first),
             ),
             Rule(
                 id="high-motion",
@@ -469,8 +466,8 @@ class Hub:
         self._add_cvo(
             "med-alerts",
             (
-                self._vo_index[(MEDICAL, "hr", first)],
-                self._vo_index[(MEDICAL, "systolic", first)],
+                vocab.vo_iri(MEDICAL, "hr", first),
+                vocab.vo_iri(MEDICAL, "systolic", first),
             ),
             Rule(
                 id="elevated-heart-rate",
@@ -561,11 +558,9 @@ class Hub:
         cfg = self.config
         wall = self.schedule.wall_ms(tick)
         for domain in self._domain_order:
-            emissions, records = self.simulators[domain].emit(tick)
-            for e in emissions:
-                vo_id = self._vo_index[(domain, e.sensor, e.user)]
-                obs = Observation(vo_id, e.timestamp, e.value, e.sequence)
-                self.broker.publish(Message(self._vo_topic[vo_id], obs), publisher=domain)
+            observations, records = self.simulators[domain].emit(tick)
+            for obs in observations:
+                self.broker.publish(Message(self._vo_topic[obs.source], obs), publisher=domain)
             if records:
                 self._med_pending.extend(records)
         self.broker.advance(self.schedule.tick_ms)
@@ -769,10 +764,6 @@ class Hub:
                 return {key: t.object.lexical}
         return {key: "none"}
 
-    def _events(self, domain: str, sensor: str, user: str) -> list[tuple[int, str]]:
-        vo_id = self._vo_index[(domain, sensor, user)]
-        return [(o.timestamp, o.value.lexical) for o in self.registry.buffered(vo_id)]
-
     def _current_activity(self, user: str) -> str:
         uid = vocab.user_iri(user)
         graph = self.reasoning.output_graph("activity")
@@ -782,9 +773,14 @@ class Hub:
         return "none"
 
     def _h_analytics_location(self, descriptor, inputs: Mapping) -> Mapping:
-        user = str(inputs["user"])
+        """Predict the user's zone from the beacon readings retained up to
+        the request's wall time."""
+        uid = vocab.user_iri(str(inputs["user"]))
         wall = int(inputs["wall"])
-        events = self._events(OFFICE, "beacon", user)
+        events = [
+            (o.timestamp, o.value.lexical)
+            for o in self.registry.readings(uid, vocab.ZONE_READING, 0, wall)
+        ]
         prediction = self.analytics.predict_for(
             "location", build_location_features(events, wall)
         )
@@ -794,10 +790,14 @@ class Hub:
         return out
 
     def _h_analytics_physio(self, descriptor, inputs: Mapping) -> Mapping:
+        """Predict the user's physio status from the vitals retained up to
+        the request's wall time."""
         user = str(inputs["user"])
+        uid = vocab.user_iri(user)
         wall = int(inputs["wall"])
-        hr = [(ts, float(v)) for ts, v in self._events(MEDICAL, "hr", user)]
-        systolic = [(ts, float(v)) for ts, v in self._events(MEDICAL, "systolic", user)]
+        readings = self.registry.readings
+        hr = [(o.timestamp, float(o.value.lexical)) for o in readings(uid, vocab.HEART_RATE, 0, wall)]
+        systolic = [(o.timestamp, float(o.value.lexical)) for o in readings(uid, vocab.SYSTOLIC, 0, wall)]
         prediction, code = self.analytics.analyze_physio_status(
             hr, systolic, self._current_activity(user), wall
         )

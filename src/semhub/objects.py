@@ -381,6 +381,23 @@ class ObjectRegistry:
         window = self._windows.get(vo_id)
         return [obs for obs, _, _ in window.buffer] if window else []
 
+    def readings(self, user: Iri, prop: Iri, start: int, end: int) -> list[Observation]:
+        """The retained observations of `prop`, timestamped within [start,
+        end], from every VO whose description says it monitors `user`,
+        ordered by (timestamp, source, sequence)."""
+        parts = [
+            [obs for obs, _, _ in self._windows[vo_id].buffer if start <= obs.timestamp <= end]
+            for vo_id, vo in self._vos.items()
+            if vo.observed_property == prop
+            and self.store.contains(vo.description_graph, Triple(vo_id, vocab.MONITORS, user))
+        ]
+        if len(parts) == 1:  # ingest keeps one window in (timestamp, sequence) order
+            return parts[0]
+        return sorted(
+            (obs for part in parts for obs in part),
+            key=lambda o: (o.timestamp, o.source, o.sequence),
+        )
+
     def last_sequence(self, vo_id: Iri) -> int | None:
         window = self._windows.get(vo_id)
         return window.last_seq if window else None

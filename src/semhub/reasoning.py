@@ -32,7 +32,7 @@ from .errors import (
     UnknownConcept,
 )
 from .interop import OntologyContext
-from .objects import Observation, ObjectRegistry
+from .objects import ObjectRegistry
 from .semantic import (
     Filter,
     GraphStore,
@@ -221,10 +221,6 @@ def _mean_literal(values: Sequence[Literal]) -> Literal:
     return Literal(str(mean), "decimal")
 
 
-def _in_window(obs: Observation, start: int, end: int) -> bool:
-    return start <= obs.timestamp <= end
-
-
 class ReasoningService:
     """Activity, location and physio-status reasoning over live observations.
 
@@ -253,26 +249,6 @@ class ReasoningService:
             _validate_exclusive(name, rules, self.FACT_PREDICATE[name])
 
     # --- plumbing -------------------------------------------------------
-
-    def _user_vos(self, user: Iri):
-        return [
-            vo
-            for vo in self.registry.vos()
-            if self.store.contains(
-                vo.description_graph, Triple(vo.id, vocab.MONITORS, user)
-            )
-        ]
-
-    def _observations(self, user: Iri, prop: Iri, start: int, end: int):
-        out: list[Observation] = []
-        for vo in self._user_vos(user):
-            if vo.observed_property != prop:
-                continue
-            out.extend(
-                o for o in self.registry.buffered(vo.id) if _in_window(o, start, end)
-            )
-        out.sort(key=lambda o: (o.timestamp, o.source, o.sequence))
-        return out
 
     def output_graph(self, name: str) -> Iri:
         return vocab.graph_iri(f"derived:{name}")
@@ -310,8 +286,8 @@ class ReasoningService:
 
     def run_activity(self, user: Iri, window: tuple[int, int]) -> list[Triple]:
         start, end = window
-        motion = self._observations(user, vocab.MOTION_COUNT, max(start, end - 30 * MINUTE_MS), end)
-        lux = self._observations(user, vocab.LUMINOSITY, max(start, end - 30 * MINUTE_MS), end)
+        motion = self.registry.readings(user, vocab.MOTION_COUNT, max(start, end - 30 * MINUTE_MS), end)
+        lux = self.registry.readings(user, vocab.LUMINOSITY, max(start, end - 30 * MINUTE_MS), end)
         facts: list[Triple] = []
         if motion:
             hour = datetime.fromtimestamp(end / 1000, tz=timezone.utc).hour
@@ -326,7 +302,7 @@ class ReasoningService:
 
     def run_location(self, user: Iri, window: tuple[int, int]) -> list[Triple]:
         start, end = window
-        beacons = self._observations(user, vocab.ZONE_READING, start, end)
+        beacons = self.registry.readings(user, vocab.ZONE_READING, start, end)
         facts: list[Triple] = []
         if beacons:
             latest_ts = max(o.timestamp for o in beacons)
@@ -339,9 +315,14 @@ class ReasoningService:
         return self._run("location", user, facts)
 
     def run_physio(self, user: Iri, window: tuple[int, int]) -> list[Triple]:
+        """Mean heart rate over the last 15 minutes and mean systolic over
+        the last 60, each span clamped to the request window.  So in
+        `flow-physio-status` (`windowMinutes` 15), `meanSystolic60m`
+        averages 15 minutes, while the physio analyzer's
+        `mean-systolic-60min` feature averages 60."""
         start, end = window
-        hr = self._observations(user, vocab.HEART_RATE, max(start, end - 15 * MINUTE_MS), end)
-        sys = self._observations(user, vocab.SYSTOLIC, max(start, end - 60 * MINUTE_MS), end)
+        hr = self.registry.readings(user, vocab.HEART_RATE, max(start, end - 15 * MINUTE_MS), end)
+        sys = self.registry.readings(user, vocab.SYSTOLIC, max(start, end - 60 * MINUTE_MS), end)
         facts: list[Triple] = []
         if hr:
             facts.append(

@@ -513,9 +513,6 @@ class TripleIndex:
     def __len__(self) -> int:
         return len(self.triples)
 
-    def __contains__(self, t: Triple) -> bool:
-        return t in self.by_subject.get(t.subject, ())
-
     def terms(self) -> list[Term]:
         """All distinct subjects, predicates and objects, in first occurrence order."""
         seen: dict[Term, None] = {}

@@ -22,9 +22,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import vocab
 from .analytics import ACTIVITY_SCHEMA, LOCATION_SCHEMA, PHYSIO_SCHEMA
 from .interop import RelationalRecord
 from .ml import LabeledInstance, feature_vector
+from .objects import Observation
 from .semantic import Literal, decimal, integer, string
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -118,37 +120,9 @@ def physio_status(heart_rate: float, systolic: float) -> str:
 # --- tick-driven emission ---------------------------------------------------
 
 
-_setattr = object.__setattr__  # how a frozen dataclass sets its own fields
-
-
-@dataclass(frozen=True, slots=True)
-class SensorEmission:
-    """One sensor reading.  Slotted with a written-out `__init__`, as every
-    observation starts as one."""
-
-    domain: str
-    sensor: str  # motion | luminosity | temperature | appliance | beacon | occupancy | hr | systolic | diastolic
-    user: str
-    timestamp: int
-    sequence: int
-    value: Literal
-
-    def __init__(self, domain: str, sensor: str, user: str, timestamp: int, sequence: int, value: Literal):
-        _setattr(self, "domain", domain)
-        _setattr(self, "sensor", sensor)
-        _setattr(self, "user", user)
-        _setattr(self, "timestamp", timestamp)
-        _setattr(self, "sequence", sequence)
-        _setattr(self, "value", value)
-
-    def __reduce__(self):
-        return SensorEmission, (
-            self.domain, self.sensor, self.user, self.timestamp, self.sequence, self.value,
-        )
-
-
 class DomainSimulator:
-    """Emits one domain's sensor traffic for a given tick.
+    """Emits one domain's sensor traffic for a given tick, each reading an
+    `Observation` of its VO, `vocab.vo_iri(domain, sensor, user)`.
 
     smart-home: motion / luminosity / temperature / appliance observations
     medical-facility: hr / systolic / diastolic observations plus the same
@@ -169,30 +143,24 @@ class DomainSimulator:
         self.noise_rate = noise_rate
         self.users = tuple(users)
         self.rng = random.Random(f"{seed}:{domain}")
-        self._sequences: dict[tuple[str, str], int] = {}
         self._record_counter = 0
-
-    def _next_seq(self, user: str, sensor: str) -> int:
-        key = (user, sensor)
-        self._sequences[key] = self._sequences.get(key, 0) + 1
-        return self._sequences[key]
 
     def _noisy(self) -> bool:
         return self.rng.random() < self.noise_rate
 
-    def emit(self, tick: int) -> tuple[list[SensorEmission], list[RelationalRecord]]:
+    def emit(self, tick: int) -> tuple[list[Observation], list[RelationalRecord]]:
         hour = self.schedule.hour_of_tick(tick)
         ts = self.schedule.wall_ms(tick)
         profile = self.schedule.profile_at(hour)
         _, zone = self.schedule.slot(hour)
-        emissions: list[SensorEmission] = []
+        emissions: list[Observation] = []
         records: list[RelationalRecord] = []
 
-        def obs(sensor: str, user: str, value: Literal):
+        def obs(sensor: str, user: str, value: Literal, cadence: str | None = None):
+            # a stream reads at every CADENCES[...]-th tick from 0; this is its n-th such tick
+            sequence = tick // CADENCES[cadence or sensor] + 1
             emissions.append(
-                SensorEmission(
-                    self.domain, sensor, user, ts, self._next_seq(user, sensor), value
-                )
+                Observation(vocab.vo_iri(self.domain, sensor, user), ts, value, sequence)
             )
 
         for user in self.users:
@@ -227,9 +195,9 @@ class DomainSimulator:
                         hr += self.rng.choice([-15.0, 12.0, 40.0])
                     if self._noisy():
                         sys_bp += self.rng.choice([-12.0, 10.0, 35.0])
-                    obs("hr", user, decimal(f"{hr:.1f}"))
-                    obs("systolic", user, decimal(f"{sys_bp:.1f}"))
-                    obs("diastolic", user, decimal(f"{dia:.1f}"))
+                    obs("hr", user, decimal(f"{hr:.1f}"), "vitals")
+                    obs("systolic", user, decimal(f"{sys_bp:.1f}"), "vitals")
+                    obs("diastolic", user, decimal(f"{dia:.1f}"), "vitals")
                     self._record_counter += 1
                     records.append(
                         RelationalRecord(

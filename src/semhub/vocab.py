@@ -65,6 +65,11 @@ def graph_iri(name: str) -> Iri:
     return Iri(f"{NS}graph:{name}")
 
 
+def vo_iri(domain: str, sensor: str, user: str) -> Iri:
+    """The virtual object of one user's `sensor` stream in `domain`."""
+    return Iri(f"{NS}vo:{domain}:{sensor}:{user}")
+
+
 # relational vitals rows, once translated and aligned
 PATIENT_ID = Iri(NS + "patientId")
 

@@ -421,6 +421,58 @@ def test_deeply_nested_body_is_400(served):
     _assert_query_served(base)
 
 
+def _expect_continue_head(base, version, body):
+    """A connection that has sent the head of `POST /queries` for `body`
+    with `Expect: 100-continue`, and no body yet."""
+    port = urllib.parse.urlsplit(base).port
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(
+        (
+            f"POST /queries HTTP/{version}\r\nHost: 127.0.0.1\r\nExpect: 100-continue\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii")
+    )
+    return sock
+
+
+_BEACONS = json.dumps(
+    {"select": ["?vo"], "where": [["?vo", "urn:sem:type", "urn:sem:class:ZoneBeacon"]]}
+).encode("utf-8")
+
+
+def test_expect_100_continue_is_answered_before_the_body(served):
+    """RFC 9110 section 10.1.1: an HTTP/1.1 client that waits for `100
+    Continue` gets it once its head is in, not a 408 when its wait ends."""
+    _, base = served
+    with _expect_continue_head(base, "1.1", _BEACONS) as sock:
+        sock.settimeout(1)
+        interim = b""
+        while not interim.endswith(b"\r\n\r\n"):
+            interim += sock.recv(64)
+        assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.settimeout(10)
+        sock.sendall(_BEACONS)
+        resp = http.client.HTTPResponse(sock)
+        resp.begin()
+        assert (resp.status, resp.version) == (200, 10)
+        assert resp.getheader("Content-Type") == "application/json"
+        assert json.loads(resp.read().decode("utf-8"))["count"] >= 1
+
+
+def test_expect_100_continue_is_ignored_for_http_1_0(served):
+    _, base = served
+    with _expect_continue_head(base, "1.0", _BEACONS) as sock:
+        sock.settimeout(0.3)
+        with pytest.raises(TimeoutError):
+            sock.recv(64)
+        sock.settimeout(10)
+        sock.sendall(_BEACONS)
+        got = b""
+        while chunk := sock.recv(1 << 16):
+            got += chunk
+    assert got.startswith(b"HTTP/1.0 200 OK\r\n")
+
+
 def test_cross_product_query_is_refused():
     hub = Hub(ScenarioConfig(duration_ticks=40))
     hub.run()

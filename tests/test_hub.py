@@ -14,6 +14,7 @@ import pytest
 
 from semhub import hub as hubmod
 from semhub import reasoning, semantic, vocab
+from semhub.analytics import AnalyticsService
 from semhub.bus import Message, Topic
 from semhub.errors import UnknownCapability, UnsatisfiableRequirement
 from semhub.hub import (
@@ -262,7 +263,7 @@ def test_observations_flowed_over_the_bus(ran):
 
 
 def test_stale_observation_is_counted_once_by_the_registry(booted):
-    vo_id = booted._vo_index[("smart-home", "motion", "alice")]
+    vo_id = vocab.vo_iri("smart-home", "motion", "alice")
     obs = Observation(vo_id, booted.schedule.wall_ms(1), integer(3), 1)
     for _ in range(2):
         booted.broker.publish(Message(Topic.parse("obs/smart-home/motion/alice"), obs))
@@ -280,7 +281,7 @@ def test_step_publishes_typed_observations(booted):
         _, domain, sensor, user = delivery.topic.segments
         obs = delivery.payload
         assert isinstance(obs, Observation)
-        assert obs.source == booted._vo_index[(domain, sensor, user)]
+        assert obs.source == vocab.vo_iri(domain, sensor, user)
         assert obs in booted.registry.buffered(obs.source)
 
 
@@ -465,7 +466,7 @@ def test_fan_out_flow_starts_no_thread(booted, monkeypatch):
 
 
 def test_reasoning_adds_no_graph_to_the_shared_store(booted, monkeypatch):
-    motion = booted._vo_index[("smart-home", "motion", "alice")]
+    motion = vocab.vo_iri("smart-home", "motion", "alice")
     booted.registry.ingest(Observation(motion, booted.schedule.wall_ms(0), integer(5), 1))
     before = set(booted.store.graphs())
     during = []
@@ -479,6 +480,37 @@ def test_reasoning_adds_no_graph_to_the_shared_store(booted, monkeypatch):
     record = booted.submit_request("reason.activity", "alice", 0)
     assert record["outcome"] == "completed"
     assert during and all(graphs <= before for graphs in during)
+
+
+def test_a_past_tick_request_reads_no_later_readings(monkeypatch):
+    """A request at tick 400 of a 600-tick run sees what the hub held at
+    tick 400: its analyzers get no reading timestamped after that tick."""
+    seen = []
+    build_location_features = hubmod.build_location_features
+    analyze_physio_status = AnalyticsService.analyze_physio_status
+
+    def location_spy(zone_events, t):
+        seen.append(("location", t, zone_events))
+        return build_location_features(zone_events, t)
+
+    def physio_spy(self, heart_rate, systolic, current_activity, t):
+        seen.append(("physio", t, [*heart_rate, *systolic]))
+        return analyze_physio_status(self, heart_rate, systolic, current_activity, t)
+
+    monkeypatch.setattr(hubmod, "build_location_features", location_spy)
+    monkeypatch.setattr(AnalyticsService, "analyze_physio_status", physio_spy)
+    h = Hub(ScenarioConfig(duration_ticks=600, users={"alice": 3}))
+    try:
+        h.run()
+        for capability in ("analytics.location", "analytics.physio-status"):
+            assert h.submit_request(capability, "alice", 400)["outcome"] == "completed"
+        wall = h.schedule.wall_ms(400)
+    finally:
+        h.close()
+    assert [(name, t) for name, t, _ in seen] == [("location", wall), ("physio", wall)]
+    for name, _, events in seen:
+        assert events, name
+        assert max(ts for ts, _ in events) <= wall, name
 
 
 # --- composite-object rules -------------------------------------------------
@@ -534,7 +566,7 @@ def test_rules_and_logged_queries_compile_once(monkeypatch):
 
 
 def test_cvo_rule_fires_and_publishes_alert(booted):
-    vo_id = booted._vo_index[("smart-home", "motion", "alice")]
+    vo_id = vocab.vo_iri("smart-home", "motion", "alice")
     obs = Observation(vo_id, booted.schedule.wall_ms(1), integer(42), 1)
     booted.broker.publish(Message(Topic.parse("obs/smart-home/motion/alice"), obs))
     booted._evaluate_cvos()

@@ -34,7 +34,6 @@ from semhub.semantic import (
     integer,
     string,
 )
-from semhub.simulate import SensorEmission
 from records import check_record
 
 MOTION = vocab.MOTION_COUNT
@@ -63,18 +62,12 @@ def obs(vo, seq, value, ts=None):
     return Observation(vo.id, ts if ts is not None else 1000 + seq, integer(value), seq)
 
 
-def test_observation_and_sensor_emission_are_slotted_frozen_records():
+def test_observation_is_a_slotted_frozen_record():
     check_record(
         Observation, (Iri("urn:t:vo:hr"), 1000, decimal("61.5"), 4),
         "Observation(source=Iri(value='urn:t:vo:hr'), timestamp=1000, "
         "value=Literal(lexical='61.5', datatype='decimal'), sequence=4)",
         ("sequence", 5),
-    )
-    check_record(
-        SensorEmission, ("medical-facility", "hr", "alice", 1000, 4, decimal("61.5")),
-        "SensorEmission(domain='medical-facility', sensor='hr', user='alice', timestamp=1000, "
-        "sequence=4, value=Literal(lexical='61.5', datatype='decimal'))",
-        ("value", decimal("62.0")),
     )
 
 
@@ -230,7 +223,7 @@ def test_retention_keeps_shared_values():
     for i, value in enumerate([7, 1, 2, 7, 3], start=1):
         registry.ingest(obs(vo, i, value))
     g = data_graph_of(vo.id)
-    assert Triple(vo.id, MOTION, integer(7)) in store.snapshot([g])
+    assert store.contains(g, Triple(vo.id, MOTION, integer(7)))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -270,6 +263,44 @@ def test_retention_matches_window_model(seed):
         } | {Triple(vo.id, vocab.OBSERVED_AT, integer(o.timestamp)) for o in window}
         assert registry.buffered(vo.id) == window
         assert registry.counts()["evicted"] == max(0, len(accepted) - retention)
+
+
+def test_readings_select_one_users_property_and_merge_in_order():
+    registry, _ = make_registry()
+    alice, bob = vocab.user_iri("alice"), vocab.user_iri("bob")
+
+    def monitoring(name, prop, user):
+        vo = VirtualObject(
+            Iri(f"urn:t:vo:{name}"), "smart-home", "sensor",
+            Iri(f"urn:t:vo:{name}#desc"), prop, "count",
+        )
+        registry.describe_vo(vo, extra=(Triple(vo.id, vocab.MONITORS, user),))
+        registry.register_vo(vo)
+        return vo
+
+    # registered out of source order, so the merge order is the sort's own
+    second = monitoring("m2", MOTION, alice)
+    first = monitoring("m1", MOTION, alice)
+    lux = monitoring("lux", vocab.LUMINOSITY, alice)
+    other = monitoring("bob", MOTION, bob)
+    unmonitored = make_vo(registry, "loose")
+    for vo in (first, lux, other, unmonitored):
+        for seq, ts in enumerate((100, 200, 300, 400), start=1):
+            registry.ingest(obs(vo, seq, seq, ts))
+    for seq, ts in enumerate((200, 200, 300, 301), start=1):  # two readings at 200
+        registry.ingest(obs(second, seq, seq, ts))
+
+    got = registry.readings(alice, MOTION, 200, 300)
+    assert [(o.timestamp, o.source, o.sequence) for o in got] == [
+        (200, first.id, 2),
+        (200, second.id, 1),
+        (200, second.id, 2),
+        (300, first.id, 3),
+        (300, second.id, 3),
+    ]
+    assert [o.source for o in registry.readings(alice, vocab.LUMINOSITY, 0, 10**6)] == [lux.id] * 4
+    assert [o.timestamp for o in registry.readings(bob, MOTION, 100, 100)] == [100]
+    assert registry.readings(bob, vocab.LUMINOSITY, 0, 10**6) == []
 
 
 # --- rule evaluation --------------------------------------------------------

@@ -84,42 +84,48 @@ def test_physio_status_bands():
 # --- emissions --------------------------------------------------------------
 
 
+def alices(domain, *sensors):
+    """The VOs of alice's `sensors` streams in `domain`."""
+    return {vocab.vo_iri(domain, sensor, "alice") for sensor in sensors}
+
+
 def test_noise_free_home_emissions_match_schedule(schedule):
     sim = DomainSimulator("smart-home", schedule, seed=1, noise_rate=0.0)
     emissions, records = sim.emit(120)  # 02:00
     assert records == []
-    by_sensor = {e.sensor: e for e in emissions}
-    assert by_sensor["motion"].value == Literal("0", "integer")
-    assert by_sensor["luminosity"].value == Literal("5", "integer")
+    by_source = {e.source: e for e in emissions}
+    motion = vocab.vo_iri("smart-home", "motion", "alice")
+    assert by_source[motion].value == Literal("0", "integer")
+    assert by_source[vocab.vo_iri("smart-home", "luminosity", "alice")].value == Literal("5", "integer")
     # tick 120 is not a temperature (7) or appliance (11) cadence point
-    assert "temperature" not in by_sensor
-    assert "appliance" not in by_sensor
-    assert by_sensor["motion"].timestamp == schedule.wall_ms(120)
+    assert vocab.vo_iri("smart-home", "temperature", "alice") not in by_source
+    assert vocab.vo_iri("smart-home", "appliance", "alice") not in by_source
+    assert by_source[motion].timestamp == schedule.wall_ms(120)
 
 
 def test_noise_free_office_beacon_matches_schedule(schedule):
     sim = DomainSimulator("smart-office", schedule, seed=1, noise_rate=0.0)
     emissions, _ = sim.emit(120)
-    beacon = next(e for e in emissions if e.sensor == "beacon")
+    beacon = next(e for e in emissions if e.source == vocab.vo_iri("smart-office", "beacon", "alice"))
     assert beacon.value == Literal("Bedroom", "string")
-    occupancy = next(e for e in emissions if e.sensor == "occupancy")
+    occupancy = next(e for e in emissions if e.source == vocab.vo_iri("smart-office", "occupancy", "alice"))
     assert occupancy.value == Literal("0", "integer")
 
 
 def test_noise_free_office_occupied_during_working_hours(schedule):
     sim = DomainSimulator("smart-office", schedule, seed=1, noise_rate=0.0)
     emissions, _ = sim.emit(600)  # 10:00, Working/Office
-    occupancy = next(e for e in emissions if e.sensor == "occupancy")
+    occupancy = next(e for e in emissions if e.source == vocab.vo_iri("smart-office", "occupancy", "alice"))
     assert occupancy.value == Literal("1", "integer")
 
 
 def test_cadences_gate_emission(schedule):
     sim = DomainSimulator("smart-home", schedule, seed=1, noise_rate=0.0)
     emissions, _ = sim.emit(35)  # 35 = 5*7: motion, luminosity, temperature
-    sensors = {e.sensor for e in emissions}
-    assert sensors == {"motion", "luminosity", "temperature"}
+    sources = {e.source for e in emissions}
+    assert sources == alices("smart-home", "motion", "luminosity", "temperature")
     emissions, _ = sim.emit(44)  # 44 = 4*11: motion and appliance only
-    assert {e.sensor for e in emissions} == {"motion", "appliance"}
+    assert {e.source for e in emissions} == alices("smart-home", "motion", "appliance")
 
 
 def test_sequences_are_monotonic_per_sensor(schedule):
@@ -127,14 +133,14 @@ def test_sequences_are_monotonic_per_sensor(schedule):
     motions = []
     for tick in range(12):
         emissions, _ = sim.emit(tick)
-        motions.extend(e.sequence for e in emissions if e.sensor == "motion")
+        motions.extend(e.sequence for e in emissions if e.source == vocab.vo_iri("smart-home", "motion", "alice"))
     assert motions == list(range(1, 13))
 
 
 def test_medical_emits_observations_and_rows(schedule):
     sim = DomainSimulator("medical-facility", schedule, seed=1, noise_rate=0.0)
     emissions, records = sim.emit(2)
-    assert {e.sensor for e in emissions} == {"hr", "systolic", "diastolic"}
+    assert {e.source for e in emissions} == alices("medical-facility", "hr", "systolic", "diastolic")
     (row,) = records
     assert row.table == "vitals"
     assert row.columns["record_id"] == "r000001"
